@@ -1,18 +1,16 @@
 """Deciders: episturmian membership with machine-checkable certificates,
 balance and Sturmian tests, and prefix-scale checks for generated words.
 
-The membership decider works by de-substitution: strip a separating letter
-with the inverse block parse and recurse, accepting words that are a single
-letter off a power of another. Acceptance yields a directive word embedding
-the input in a generated standard word, plus a witness prefix u for which
-a·u is lexicographically at most min(w) under every order on the alphabet.
+The membership decider works by de-substitution in one iterative pass with
+no cache: strip the least separating letter with the inverse block parse and
+repeat, accepting once the word is a single letter off a power of another.
+Acceptance yields a directive word embedding the input in a generated
+standard word, plus a witness prefix u for which a·u is lexicographically at
+most min(w) under every order on the alphabet.
 """
 
-import logging
-import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .generate import DirectiveSpec, pal_closure, psi_inverse
 from .words import (
@@ -28,8 +26,6 @@ from .words import (
     min_of,
     validate_word,
 )
-
-log = logging.getLogger(__name__)
 
 STABILITY_BUDGET = 2**16
 
@@ -103,58 +99,40 @@ def _base_form(w: str):
     return None
 
 
-def _reductions(w: str, x: str) -> list[str]:
-    # Prepend x when w does not start with it; when the aligned word ends
-    # with x, that final letter may be a whole block or the cut-off start of
-    # one, so both readings are explored.
-    big = w if w[0] == x else x + w
-    outs = []
-    r = psi_inverse(x, big)
-    if r is not None:
-        outs.append(r)
-    if len(big) > 1 and big.endswith(x):
-        r = psi_inverse(x, big[:-1])
-        if r:
-            outs.append(r)
-    return outs
-
-
-@lru_cache(maxsize=None)
-def _accepts(w: str) -> bool:
-    if _base_form(w) is not None:
-        return True
+def _desubstitute(w: str):
+    """One de-substitution step: (x, big, r) with x the least separating
+    letter, big = w aligned to start with x, and r = psi_x^{-1}(big); None
+    when w has no separating letter."""
     seps = separating_letters(w)
     if not seps:
-        return False
-    outcome = {}
-    for x in sorted(seps):
-        outcome[x] = any(_accepts(r) for r in _reductions(w, x))
-    if len(set(outcome.values())) > 1:
-        log.debug("separating-letter branches disagree on %r: %s", w, outcome)
-    return any(outcome.values())
+        return None
+    x = min(seps)
+    big = w if w[0] == x else x + w
+    return x, big, psi_inverse(x, big)
 
 
-def _ensure_recursion_room(n: int):
-    need = 8 * n + 200
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
+def _accepts(w: str) -> bool:
+    # A final x of big is a whole block, so dropping it from the reading is
+    # the same as reading big without it. Finite episturmian words are closed
+    # under factors and each extends to the right, so that trimmed reading
+    # alone decides w.
+    while _base_form(w) is None:
+        step = _desubstitute(w)
+        if step is None:
+            return False
+        x, big, r = step
+        w = r[:-1] if big.endswith(x) else r
+    return True
 
 
 def _build_certificate(w: str) -> Certificate:
     chain = []
     cur = w
     while _base_form(cur) is None:
-        step = None
-        for x in sorted(separating_letters(cur)):
-            for r in _reductions(cur, x):
-                if _accepts(r):
-                    step = (x, r)
-                    break
-            if step:
-                break
-        assert step is not None, f"inconsistent acceptance for {cur!r}"
-        chain.append(step[0])
-        cur = step[1]
+        x, big, r = _desubstitute(cur)
+        chain.append(x)
+        # Keep the full reading when it is accepted; the trimmed one always is.
+        cur = r if not big.endswith(x) or _accepts(r) else r[:-1]
     x, y, p, q = _base_form(cur)
     tail = x * p if y is None else x * max(p, q) + y
     directive = DirectiveSpec("".join(chain) + tail, x)
@@ -185,7 +163,6 @@ def is_finite_episturmian(w: str) -> Verdict:
         raise InputError("empty word")
     if len(alph(w)) > MAX_ALPHABET:
         raise InputError(f"alphabet larger than {MAX_ALPHABET}")
-    _ensure_recursion_room(len(w))
     if not _accepts(w):
         reason = (
             RejectReason.NO_SEPARATING_LETTER
@@ -303,15 +280,24 @@ def wide_sense_check(prefix: str) -> WideSenseResult:
     validate_word(prefix)
     if not prefix:
         return WideSenseResult(True, None)
-    _ensure_recursion_room(len(prefix))
     if _accepts(prefix):
         return WideSenseResult(True, None)
-    for n in range(1, len(prefix) + 1):
-        for i in range(len(prefix) - n + 1):
-            f = prefix[i : i + n]
-            if not _accepts(f):
-                return WideSenseResult(False, f)
-    raise AssertionError("rejected prefix must contain a rejected factor")
+    # Two-pointer scan: i is the least start with prefix[i:j] good. A bad
+    # window whose two one-letter-shorter sub-windows are good is a minimal
+    # bad factor; every one shows up as i advances, and the shortest bad
+    # factor is minimal. Single letters are good, so prefix[i+1:j] is never
+    # empty here.
+    best = None
+    i = 0
+    for j in range(2, len(prefix) + 1):
+        if _accepts(prefix[i:j]):
+            continue
+        while not _accepts(prefix[i + 1 : j]):
+            i += 1
+        if best is None or j - i < len(best):
+            best = prefix[i:j]
+        i += 1
+    return WideSenseResult(False, best)
 
 
 def _stable_minima(source, k: int):

@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 from itertools import product
 
 import pytest
@@ -11,8 +13,10 @@ from epiword import (
     EventuallyPeriodicSpec,
     InputError,
     RejectReason,
+    WideSenseResult,
     all_orders,
     alph,
+    apply_morphism,
     check_fine_prefix,
     check_min_inequality,
     check_witness,
@@ -245,6 +249,44 @@ def test_wide_sense_reports_shortest_bad_factor():
     k = len(bad.bad_factor)
     for f in factors("aabababaabaab", k - 1):
         assert is_finite_episturmian(f).accepted
+
+
+def test_wide_sense_and_deep_reject_stay_bounded():
+    # a^402 b a^400 b is bad only as a whole: the scan must not test every
+    # factor, and no step may touch the interpreter's recursion limit.
+    limit = sys.getrecursionlimit()
+    w = "a" * 402 + "b" + "a" * 400 + "b"
+    start = time.perf_counter()
+    result = wide_sense_check(w)
+    elapsed = time.perf_counter() - start
+    assert not result.ok and result.bad_factor == w
+    assert elapsed < 5.0, elapsed
+    assert sys.getrecursionlimit() == limit
+    deep = is_finite_episturmian(apply_morphism("a" * 1500, "bbcc"))
+    assert deep.reason is RejectReason.REDUCTION_FAILED
+    assert sys.getrecursionlimit() == limit
+
+
+def test_wide_sense_matches_brute_force_exhaustive():
+    accepted = {}
+
+    def brute_force(w):
+        # Shortest, then leftmost, factor that the decider rejects.
+        for n in range(1, len(w) + 1):
+            for i in range(len(w) - n + 1):
+                f = w[i : i + n]
+                if f not in accepted:
+                    accepted[f] = is_finite_episturmian(f).accepted
+                if not accepted[f]:
+                    return f
+        return None
+
+    for letters, max_len in (("ab", 12), ("abc", 7)):
+        for n in range(1, max_len + 1):
+            for tup in product(letters, repeat=n):
+                w = "".join(tup)
+                bad = brute_force(w)
+                assert wide_sense_check(w) == WideSenseResult(bad is None, bad), w
 
 
 def test_check_min_inequality():
