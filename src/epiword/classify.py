@@ -111,29 +111,32 @@ def _desubstitute(w: str):
     return x, big, psi_inverse(x, big)
 
 
-def _accepts(w: str) -> bool:
+def _reject_reason(w: str) -> RejectReason | None:
+    """Why w is not finite episturmian, or None when it is."""
     # A final x of big is a whole block, so dropping it from the reading is
     # the same as reading big without it. Finite episturmian words are closed
     # under factors and each extends to the right, so that trimmed reading
     # alone decides w.
+    reason = RejectReason.NO_SEPARATING_LETTER
     while _base_form(w) is None:
         step = _desubstitute(w)
         if step is None:
-            return False
+            return reason
         x, big, r = step
         w = r[:-1] if big.endswith(x) else r
-    return True
+        reason = RejectReason.REDUCTION_FAILED
+    return None
 
 
 def _build_certificate(w: str) -> Certificate:
     chain = []
     cur = w
-    while _base_form(cur) is None:
+    while (base := _base_form(cur)) is None:
         x, big, r = _desubstitute(cur)
         chain.append(x)
         # Keep the full reading when it is accepted; the trimmed one always is.
-        cur = r if not big.endswith(x) or _accepts(r) else r[:-1]
-    x, y, p, q = _base_form(cur)
+        cur = r if not big.endswith(x) or _reject_reason(r) is None else r[:-1]
+    x, y, p, q = base
     tail = x * p if y is None else x * max(p, q) + y
     directive = DirectiveSpec("".join(chain) + tail, x)
     generated = ""
@@ -163,12 +166,8 @@ def is_finite_episturmian(w: str) -> Verdict:
         raise InputError("empty word")
     if len(alph(w)) > MAX_ALPHABET:
         raise InputError(f"alphabet larger than {MAX_ALPHABET}")
-    if not _accepts(w):
-        reason = (
-            RejectReason.NO_SEPARATING_LETTER
-            if not separating_letters(w)
-            else RejectReason.REDUCTION_FAILED
-        )
+    reason = _reject_reason(w)
+    if reason is not None:
         return Verdict(False, None, reason)
     cert = _build_certificate(w)
     if not check_witness(w, cert.witness_u):
@@ -258,9 +257,10 @@ def sturmian_test(w: str) -> SturmianResult:
     common = mt[:limit]
     after_min = mt[limit] if limit < len(mt) else None
     after_max = xt[limit] if limit < len(xt) else None
-    for k in range(limit + 1):
-        if k + 1 < len(mi) and mi[k + 1] == "a" and k + 1 < len(ma) and ma[k + 1] == "b":
-            return SturmianResult(False, common[:k], common, after_min, after_max)
+    # Below limit the two tails agree, so an a·u·a / b·u·b split can only
+    # come at limit itself, with u the whole common prefix.
+    if after_min == "a" and after_max == "b":
+        return SturmianResult(False, common, common, after_min, after_max)
     return SturmianResult(True, None, common, after_min, after_max)
 
 
@@ -280,7 +280,7 @@ def wide_sense_check(prefix: str) -> WideSenseResult:
     validate_word(prefix)
     if not prefix:
         return WideSenseResult(True, None)
-    if _accepts(prefix):
+    if _reject_reason(prefix) is None:
         return WideSenseResult(True, None)
     # Two-pointer scan: i is the least start with prefix[i:j] good. A bad
     # window whose two one-letter-shorter sub-windows are good is a minimal
@@ -290,9 +290,9 @@ def wide_sense_check(prefix: str) -> WideSenseResult:
     best = None
     i = 0
     for j in range(2, len(prefix) + 1):
-        if _accepts(prefix[i:j]):
+        if _reject_reason(prefix[i:j]) is None:
             continue
-        while not _accepts(prefix[i + 1 : j]):
+        while _reject_reason(prefix[i + 1 : j]) is not None:
             i += 1
         if best is None or j - i < len(best):
             best = prefix[i:j]
@@ -300,28 +300,19 @@ def wide_sense_check(prefix: str) -> WideSenseResult:
     return WideSenseResult(False, best)
 
 
-def _stable_minima(source, k: int):
-    """Prefix of the generated word plus its per-order length-k minima,
-    grown by doubling until both stop changing; raises InconclusiveError
-    past the letter budget."""
+def _doubling_minima(source, k: int):
+    """Prefixes of the generated word, doubling in length up to the letter
+    budget, each with its per-order length-k minima."""
     if k < 1:
         raise InputError("k must be positive")
     length = max(4 * k, 64)
-    prev = None
     while length <= STABILITY_BUDGET:
         prefix = source.prefix(length)
         windows = factors(prefix, k)
-        minima = {
+        yield prefix, {
             order: min(windows, key=order.key) for order in all_orders(alph(prefix))
         }
-        state = tuple(sorted((o.letters, m) for o, m in minima.items()))
-        if state == prev:
-            return prefix, minima
-        prev = state
         length *= 2
-    raise InconclusiveError(
-        f"length-{k} minima still changing at {STABILITY_BUDGET} letters"
-    )
 
 
 def check_min_inequality(d: DirectiveSpec, k: int) -> bool:
@@ -334,37 +325,34 @@ def check_min_inequality(d: DirectiveSpec, k: int) -> bool:
     Stabilization alone is not trusted for equality: the witnessing factor
     can first occur far beyond where the minima stop moving.
     """
-    if k < 1:
-        raise InputError("k must be positive")
-    strict = d.is_strict
-    length = max(4 * k, 64)
     prev = None
-    while length <= STABILITY_BUDGET:
-        prefix = d.prefix(length)
-        windows = factors(prefix, k)
-        minima = {
-            order: min(windows, key=order.key) for order in all_orders(alph(prefix))
-        }
-        for order, mk in minima.items():
-            if not lex_le(order.min_letter + prefix[: k - 1], mk, order):
-                return False
-        if strict:
-            if all(mk == o.min_letter + prefix[: k - 1] for o, mk in minima.items()):
-                return True
-        else:
-            state = tuple(sorted((o.letters, m) for o, m in minima.items()))
-            if state == prev:
-                return True
-            prev = state
-        length *= 2
+    for prefix, minima in _doubling_minima(d, k):
+        floors = {order: order.min_letter + prefix[: k - 1] for order in minima}
+        if not all(lex_le(floors[o], mk, o) for o, mk in minima.items()):
+            return False
+        if minima == (floors if d.is_strict else prev):
+            return True
+        prev = minima
     raise InconclusiveError(
         f"length-{k} minima not settled within {STABILITY_BUDGET} letters"
     )
 
 
 def check_fine_prefix(source, k: int) -> bool:
-    """True iff min(t | k) = a·s for one shared s across all orders."""
-    prefix, minima = _stable_minima(source, k)
+    """True iff min(t | k) = a·s for one shared s across all orders.
+
+    The minima are read off the first doubled prefix on which they repeat
+    those of the prefix before; InconclusiveError past the letter budget.
+    """
+    prev = None
+    for prefix, minima in _doubling_minima(source, k):
+        if minima == prev:
+            break
+        prev = minima
+    else:
+        raise InconclusiveError(
+            f"length-{k} minima still changing at {STABILITY_BUDGET} letters"
+        )
     if len(alph(prefix)) < 2:
         raise InputError("fineness needs at least two letters")
     tails = set()

@@ -25,9 +25,6 @@ from .generate import (
     EpiskewSpec,
     EventuallyPeriodicSpec,
     MechanicalSpec,
-    eventually_periodic_prefix,
-    mechanical_prefix,
-    standard_prefix,
 )
 from .oracles import sweep
 from .words import (
@@ -102,14 +99,14 @@ def _cmd_generate(args) -> int:
     if n < 0:
         raise InputError("--length must be non-negative")
     if args.directive is not None:
-        word = standard_prefix(DirectiveSpec.from_text(args.directive), n)[:n]
+        source = DirectiveSpec.from_text(args.directive)
     elif args.mechanical is not None:
-        word = mechanical_prefix(_parse_mechanical(args.mechanical, args.ceiling), n)
+        source = _parse_mechanical(args.mechanical, args.ceiling)
     elif args.episkew is not None:
-        word = EpiskewSpec.from_json(json.loads(args.episkew)).prefix(n)
+        source = EpiskewSpec.from_json(json.loads(args.episkew))
     else:
-        spec = _parse_skew(args.skew)
-        word = eventually_periodic_prefix(spec.preperiod, spec.period, n)
+        source = _parse_skew(args.skew)
+    word = source.prefix(n)
     _emit(args, {"word": word, "length": len(word)}, [word])
     return EXIT_OK
 

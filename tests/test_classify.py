@@ -12,6 +12,7 @@ from epiword import (
     EpiskewSpec,
     EventuallyPeriodicSpec,
     InputError,
+    Order,
     RejectReason,
     WideSenseResult,
     all_orders,
@@ -24,6 +25,7 @@ from epiword import (
     find_witness,
     is_balanced,
     is_finite_episturmian,
+    max_of,
     min_of,
     oracle_is_finite_episturmian,
     psi,
@@ -69,6 +71,19 @@ def test_is_finite_episturmian(w, accepted):
 def test_rejection_reasons():
     assert is_finite_episturmian("aabb").reason is RejectReason.NO_SEPARATING_LETTER
     assert is_finite_episturmian("aabababaabaab").reason is RejectReason.REDUCTION_FAILED
+    for letters, max_len in (("ab", 12), ("abc", 7)):
+        for n in range(1, max_len + 1):
+            for tup in product(letters, repeat=n):
+                w = "".join(tup)
+                verdict = is_finite_episturmian(w)
+                if verdict.accepted:
+                    continue
+                expected = (
+                    RejectReason.NO_SEPARATING_LETTER
+                    if not separating_letters(w)
+                    else RejectReason.REDUCTION_FAILED
+                )
+                assert verdict.reason is expected, w
 
 
 def test_empty_word_rejected():
@@ -176,9 +191,17 @@ def test_sturmian_test_paper_examples():
 
 
 def test_sturmian_test_witness_is_genuine():
-    r = sturmian_test("aabababaabaab")
-    mi = min_of("aabababaabaab", all_orders("ab")[0])
-    assert mi.startswith("a" + r.u + "a")
+    order = Order("ab")
+    for n in range(2, 13):
+        for tup in product("ab", repeat=n):
+            w = "".join(tup)
+            if len(alph(w)) < 2:
+                continue
+            r = sturmian_test(w)
+            assert (r.u is None) == r.sturmian, w
+            if r.u is not None:
+                assert min_of(w, order).startswith("a" + r.u + "a"), w
+                assert max_of(w, order).startswith("b" + r.u + "b"), w
 
 
 def test_binary_equivalence_exhaustive():
@@ -227,8 +250,6 @@ def test_extremal_factor_transfer_under_psi(w2, z, append):
 def test_extremal_transfer_worked_example():
     # w' = aa, z = b, w = psi_b(aa)·b = babab: the minimum abab is the
     # b-stripped image of aa with the trailing b carried over.
-    from epiword import Order
-
     assert psi("b", "aa") == "baba"
     assert min_of("babab", Order("ab")) == "abab"
 
@@ -314,10 +335,15 @@ def test_prefix_checks_report_inconclusive_on_tiny_budget(monkeypatch):
     from epiword import InconclusiveError
 
     monkeypatch.setattr(classify, "STABILITY_BUDGET", 32)
-    with pytest.raises(InconclusiveError):
+    with pytest.raises(InconclusiveError, match="still changing at 32 letters"):
         check_fine_prefix(DirectiveSpec("", "abc"), 12)
-    with pytest.raises(InconclusiveError):
+    with pytest.raises(InconclusiveError, match="not settled within 32 letters"):
         check_min_inequality(DirectiveSpec("", "ab"), 50)
+    # k is checked before the budget: a zero cutoff is bad input, not inconclusive.
+    with pytest.raises(InputError, match="k must be positive"):
+        check_fine_prefix(DirectiveSpec("", "abc"), 0)
+    with pytest.raises(InputError, match="k must be positive"):
+        check_min_inequality(DirectiveSpec("", "ab"), 0)
 
 
 def test_witness_inequality_survives_extension():

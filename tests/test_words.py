@@ -16,6 +16,7 @@ from epiword import (
     factors,
     is_palindrome,
     lex_compare,
+    max_factor,
     max_of,
     min_factor,
     min_of,
@@ -111,23 +112,25 @@ def test_min_of_empty_word_rejected():
         min_of("", Order("ab"))
 
 
-def _min_of_by_definition(w, order):
-    # Literal reading: the largest k whose smaller minima all stack up as
-    # prefixes of min(w | k).
-    mins = [min_factor(w, k, order) for k in range(1, len(w) + 1)]
+def _extremal_by_definition(w, order, extremal_factor):
+    # Literal reading: the largest k whose shorter extremal factors all stack
+    # up as prefixes of the length-k one (min_factor for min(w), max_factor
+    # for its dual max(w)).
+    extremes = [extremal_factor(w, k, order) for k in range(1, len(w) + 1)]
     valid = [
         k
         for k in range(1, len(w) + 1)
-        if all(mins[j - 1] == mins[k - 1][:j] for j in range(1, k + 1))
+        if all(extremes[j - 1] == extremes[k - 1][:j] for j in range(1, k + 1))
     ]
-    return mins[max(valid) - 1]
+    return extremes[max(valid) - 1]
 
 
 @settings(max_examples=150)
 @given(words_abc)
 def test_min_of_matches_definition(w):
     for order in all_orders(alph(w)):
-        assert min_of(w, order) == _min_of_by_definition(w, order)
+        assert min_of(w, order) == _extremal_by_definition(w, order, min_factor)
+        assert max_of(w, order) == _extremal_by_definition(w, order, max_factor)
 
 
 @settings(max_examples=150)
