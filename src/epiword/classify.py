@@ -12,7 +12,7 @@ most min(w) under every order on the alphabet.
 from dataclasses import dataclass
 from enum import Enum
 
-from .generate import DirectiveSpec, pal_closure, psi_inverse
+from .generate import DirectiveSpec, palindromic_walk, psi_inverse
 from .words import (
     MAX_ALPHABET,
     InputError,
@@ -139,10 +139,10 @@ def _build_certificate(w: str) -> Certificate:
     x, y, p, q = base
     tail = x * p if y is None else x * max(p, q) + y
     directive = DirectiveSpec("".join(chain) + tail, x)
-    generated = ""
-    for letter in directive.preperiod:
-        generated = pal_closure(generated + letter)
-    occurrence = generated.find(w)
+    # The prefixes are nested: the first holding w fixes occurrence and witness.
+    for generated in palindromic_walk(directive.preperiod):
+        if (occurrence := generated.find(w)) >= 0:
+            break
     assert occurrence >= 0, f"embedding lost {w!r} under directive {directive}"
     return Certificate(
         reduction_letters="".join(chain),

@@ -111,90 +111,82 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_minmax(args) -> int:
-    for w in _input_words(args.word):
-        if not w:
-            raise InputError("empty word")
-        order = Order(args.order) if args.order else alphabetical(w)
-        if args.k is not None:
-            lo = min_factor(w, args.k, order)
-            hi = max_factor(w, args.k, order)
-        else:
-            lo = min_of(w, order)
-            hi = max_of(w, order)
-        _emit(
-            args,
-            {"word": w, "order": order.letters, "k": args.k, "min": lo, "max": hi},
-            [f"min={lo}", f"max={hi}"],
-        )
-    return EXIT_OK
+def _each_word(args, text: str, judge) -> int:
+    """Run judge(args, w) -> (accepted, payload, lines) on each input word,
+    emit each result, and return EXIT_REJECT if any word was rejected."""
+    code = EXIT_OK
+    for w in _input_words(text):
+        accepted, payload, lines = judge(args, w)
+        _emit(args, payload, lines)
+        if not accepted:
+            code = EXIT_REJECT
+    return code
+
+
+def _minmax(args, w: str):
+    if not w:
+        raise InputError("empty word")
+    order = Order(args.order) if args.order else alphabetical(w)
+    if args.k is not None:
+        lo = min_factor(w, args.k, order)
+        hi = max_factor(w, args.k, order)
+    else:
+        lo = min_of(w, order)
+        hi = max_of(w, order)
+    payload = {"word": w, "order": order.letters, "k": args.k, "min": lo, "max": hi}
+    return True, payload, [f"min={lo}", f"max={hi}"]
+
+
+def _episturmian(args, w: str):
+    verdict = is_finite_episturmian(w)
+    if verdict.accepted:
+        cert = verdict.certificate
+        lines = [
+            "episturmian: yes",
+            f"directive={cert.embedding_directive}",
+            f"occurrence={cert.occurrence_index}",
+            f"witness={cert.witness_u}",
+        ]
+    else:
+        lines = [f"episturmian: no ({verdict.reason.value})"]
+    return verdict.accepted, verdict.to_json_dict(), lines
+
+
+def _wide_sense(args, w: str):
+    result = wide_sense_check(w)
+    payload = {"ok": result.ok, "bad_factor": result.bad_factor}
+    if result.ok:
+        return True, payload, ["wide-sense: yes"]
+    return False, payload, [f"wide-sense: no (bad factor {result.bad_factor})"]
+
+
+def _witness(args, w: str):
+    u = find_witness(w)
+    return u is not None, {"word": w, "witness": u}, [u if u is not None else "none"]
+
+
+def _balanced(args, w: str):
+    if is_balanced(w):
+        return True, {"word": w, "balanced": True, "u": None}, ["balanced"]
+    u = sturmian_test(w).u
+    return False, {"word": w, "balanced": False, "u": u}, [f"not balanced: u={u}"]
 
 
 def _cmd_test(args) -> int:
-    if args.mode == "episturmian":
-        code = EXIT_OK
-        for w in _input_words(args.target):
-            verdict = is_finite_episturmian(w)
-            if verdict.accepted:
-                cert = verdict.certificate
-                _emit(
-                    args,
-                    verdict.to_json_dict(),
-                    [
-                        "episturmian: yes",
-                        f"directive={cert.embedding_directive}",
-                        f"occurrence={cert.occurrence_index}",
-                        f"witness={cert.witness_u}",
-                    ],
-                )
-            else:
-                _emit(
-                    args,
-                    verdict.to_json_dict(),
-                    [f"episturmian: no ({verdict.reason.value})"],
-                )
-                code = EXIT_REJECT
-        return code
-    if args.mode == "wide":
-        code = EXIT_OK
-        for w in _input_words(args.target):
-            result = wide_sense_check(w)
-            payload = {"ok": result.ok, "bad_factor": result.bad_factor}
-            if result.ok:
-                _emit(args, payload, ["wide-sense: yes"])
-            else:
-                _emit(args, payload, [f"wide-sense: no (bad factor {result.bad_factor})"])
-                code = EXIT_REJECT
-        return code
+    if args.mode != "fine":
+        judge = _episturmian if args.mode == "episturmian" else _wide_sense
+        return _each_word(args, args.target, judge)
     source = _parse_source(args.target)
     ok = check_fine_prefix(source, args.k)
     _emit(args, {"fine": ok, "k": args.k}, [f"fine: {'yes' if ok else 'no'}"])
     return EXIT_OK if ok else EXIT_REJECT
 
 
-def _cmd_witness(args) -> int:
-    code = EXIT_OK
-    for w in _input_words(args.word):
-        u = find_witness(w)
-        _emit(args, {"word": w, "witness": u}, [u if u is not None else "none"])
-        if u is None:
-            code = EXIT_REJECT
-    return code
-
-
-def _cmd_balanced(args) -> int:
-    code = EXIT_OK
-    for w in _input_words(args.word):
-        if is_balanced(w):
-            _emit(args, {"word": w, "balanced": True, "u": None}, ["balanced"])
-        else:
-            u = sturmian_test(w).u
-            _emit(args, {"word": w, "balanced": False, "u": u}, [f"not balanced: u={u}"])
-            code = EXIT_REJECT
-    return code
-
-
 def _cmd_complexity(args) -> int:
+    if args.max_n < 1:
+        raise InputError("--max-n must be positive")
+    if args.length < 0:
+        raise InputError("--length must be non-negative")
     text = args.spec
     if "*" in text or "," in text or text.lstrip().startswith("{"):
         prefix = _parse_source(text).prefix(args.length)
@@ -244,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.add_argument("--order", metavar="ORD", help="letters smallest first, e.g. bac")
     p.add_argument("--k", type=int, help="fixed factor length")
-    p.set_defaults(func=_cmd_minmax)
+    p.set_defaults(func=lambda args: _each_word(args, args.word, _minmax))
 
     p = sub.add_parser("test", parents=[common], help="classification tests")
     p.add_argument("mode", choices=["episturmian", "wide", "fine"])
@@ -254,11 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", parents=[common], help="find a validating witness")
     p.add_argument("word")
-    p.set_defaults(func=_cmd_witness)
+    p.set_defaults(func=lambda args: _each_word(args, args.word, _witness))
 
     p = sub.add_parser("balanced", parents=[common], help="balance test for binary words")
     p.add_argument("word")
-    p.set_defaults(func=_cmd_balanced)
+    p.set_defaults(func=lambda args: _each_word(args, args.word, _balanced))
 
     p = sub.add_parser("complexity", parents=[common], help="factor counts by length")
     p.add_argument("spec", help="word, or generating spec")

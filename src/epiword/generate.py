@@ -7,6 +7,7 @@ whose nested palindromic prefixes converge to a standard episturmian word.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import ceil, floor
 
 from .words import (
@@ -116,17 +117,23 @@ class DirectiveSpec:
         return standard_prefix(self, n)[:n]
 
 
+def palindromic_walk(letters):
+    """Yield the nested palindromic prefixes u(1) = empty and
+    u(i+1) = (u(i)·x(i))^+ for the letters x(1), x(2), ... in turn."""
+    u = ""
+    yield u
+    for x in letters:
+        u = pal_closure(u + x)
+        yield u
+
+
 def palindromic_prefixes(d: DirectiveSpec, count: int) -> list[str]:
     """The nested palindromic prefixes u(1)=empty, u(2), ..., u(count)."""
-    us = [""]
-    it = d.letters()
-    while len(us) < count:
-        x = next(it, None)
-        if x is None:
-            raise InsufficientDirectiveError(
-                f"directive {d} has only {len(us) - 1} letters, need {count - 1}"
-            )
-        us.append(pal_closure(us[-1] + x))
+    us = list(islice(palindromic_walk(d.letters()), max(count, 1)))
+    if len(us) < count:
+        raise InsufficientDirectiveError(
+            f"directive {d} has only {len(us) - 1} letters, need {count - 1}"
+        )
     return us
 
 
@@ -135,11 +142,7 @@ def standard_prefix(d: DirectiveSpec, min_len: int) -> str:
 
     Output may overshoot min_len: closure steps are applied whole.
     """
-    u = ""
-    if len(u) >= min_len:
-        return u
-    for x in d.letters():
-        u = pal_closure(u + x)
+    for u in palindromic_walk(d.letters()):
         if len(u) >= min_len:
             return u
     raise InsufficientDirectiveError(
@@ -153,22 +156,10 @@ def h_words(d: DirectiveSpec, n: int) -> list[str]:
     mu(i) composes psi over the first i directive letters; the product
     h(n-2)···h(1)h(0) rebuilds the palindromic prefix u(n).
     """
-    xs = []
-    it = d.letters()
-    for _ in range(n):
-        x = next(it, None)
-        if x is None:
-            raise InsufficientDirectiveError(
-                f"directive {d} has fewer than {n} letters"
-            )
-        xs.append(x)
-    hs = []
-    for i in range(n):
-        word = xs[i]
-        for j in range(i - 1, -1, -1):
-            word = psi(xs[j], word)
-        hs.append(word)
-    return hs
+    xs = "".join(islice(d.letters(), max(n, 0)))
+    if len(xs) < n:
+        raise InsufficientDirectiveError(f"directive {d} has fewer than {n} letters")
+    return [apply_morphism(xs[:i], xs[i]) for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -280,14 +271,23 @@ class EpiskewSpec:
         return self.inner_directive.is_strict
 
     @classmethod
-    def from_json(cls, obj: dict) -> "EpiskewSpec":
-        return cls(
-            mu=obj.get("mu", ""),
-            excluded_letter=obj["excluded_letter"],
-            inner_directive=DirectiveSpec.from_text(obj["inner_directive"]),
-            p=int(obj.get("p", 0)),
-            suffix_index=int(obj["suffix_index"]),
-        )
+    def from_json(cls, obj) -> "EpiskewSpec":
+        if not isinstance(obj, dict):
+            raise InputError(f"episkew spec must be a JSON object, got {obj!r}")
+        texts = {
+            "mu": obj.get("mu", ""),
+            "excluded_letter": obj["excluded_letter"],
+            "inner_directive": obj["inner_directive"],
+        }
+        for name, value in texts.items():
+            if not isinstance(value, str):
+                raise InputError(f"episkew {name} must be a string, got {value!r}")
+        inner = DirectiveSpec.from_text(texts["inner_directive"])
+        try:
+            p, suffix_index = int(obj.get("p", 0)), int(obj["suffix_index"])
+        except (TypeError, OverflowError) as exc:
+            raise InputError(f"episkew p and suffix_index must be integers: {exc}") from exc
+        return cls(texts["mu"], texts["excluded_letter"], inner, p, suffix_index)
 
     def to_json_dict(self) -> dict:
         return {

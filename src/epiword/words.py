@@ -2,10 +2,11 @@
 
 Words are plain lowercase strings ("baabac"); the empty string is the empty
 word. An order is a permutation of the letters in play, written smallest
-first: Order("bac") means b < a < c.
+first: Order("bac") means b < a < c. Words are compared under an order
+through its rank-string key, so every comparison is a string comparison.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 
 MAX_ALPHABET = 8
@@ -40,11 +41,24 @@ def alph(w: str) -> set[str]:
     return set(w)
 
 
+class _Ranks(dict):
+    """str.translate table sending the letter of rank i to chr(i); any other
+    character raises InputError instead of passing through unchanged."""
+
+    def __init__(self, letters: str):
+        super().__init__(zip(map(ord, letters), range(len(letters))))
+        self.letters = letters
+
+    def __missing__(self, code: int):
+        raise InputError(f"letter {chr(code)!r} outside alphabet {self.letters!r}")
+
+
 @dataclass(frozen=True)
 class Order:
     """A total order on a small alphabet, letters listed smallest first."""
 
     letters: str
+    _ranks: _Ranks = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_word(self.letters)
@@ -52,20 +66,16 @@ class Order:
             raise InputError(f"order letters must be distinct: {self.letters!r}")
         if len(self.letters) > MAX_ALPHABET:
             raise InputError(f"alphabet larger than {MAX_ALPHABET}: {self.letters!r}")
+        object.__setattr__(self, "_ranks", _Ranks(self.letters))
 
     @property
     def min_letter(self) -> str:
         return self.letters[0]
 
-    def rank(self, letter: str) -> int:
-        i = self.letters.find(letter)
-        if i < 0:
-            raise InputError(f"letter {letter!r} outside alphabet {self.letters!r}")
-        return i
-
-    def key(self, w: str):
-        """Rank tuple for sorting equal-length words."""
-        return tuple(self.rank(c) for c in w)
+    def key(self, w: str) -> str:
+        """w as a rank string (the letter of rank i becomes chr(i)); keys
+        compare as the words do under this order, a proper prefix first."""
+        return w.translate(self._ranks)
 
 
 def alphabetical(w: str) -> Order:
@@ -86,20 +96,12 @@ def lex_compare(u: str, v: str, order: Order) -> int:
 
     Returns LESS (-1), EQUAL (0) or GREATER (1).
     """
-    stray = (set(u) | set(v)) - set(order.letters)
-    if stray:
-        raise InputError(f"letters {sorted(stray)} outside alphabet {order.letters!r}")
-    for cu, cv in zip(u, v):
-        ru, rv = order.rank(cu), order.rank(cv)
-        if ru != rv:
-            return LESS if ru < rv else GREATER
-    if len(u) == len(v):
-        return EQUAL
-    return LESS if len(u) < len(v) else GREATER
+    ku, kv = order.key(u), order.key(v)
+    return (ku > kv) - (ku < kv)
 
 
 def lex_le(u: str, v: str, order: Order) -> bool:
-    return lex_compare(u, v, order) != GREATER
+    return order.key(u) <= order.key(v)
 
 
 def factors(w: str, n: int) -> set[str]:
@@ -157,7 +159,7 @@ def _extremal_of(w: str, order: Order, greatest: bool) -> str:
     # when P has shrunk to the suffix occurrence, which is then unioccurrent.
     if not w:
         raise InputError("empty word has no extremal factor")
-    ranks = [order.rank(c) for c in w]
+    ranks = order.key(w)
     n = len(w)
     pick = max(ranks) if greatest else min(ranks)
     positions = [i for i, r in enumerate(ranks) if r == pick]

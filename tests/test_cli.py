@@ -15,6 +15,9 @@ def test_generate_directive(capsys):
     code, out, _ = run(capsys, "generate", "--directive", "*ab", "--length", "6")
     assert code == 0
     assert out.strip() == "abaaba"
+    code, _, err = run(capsys, "generate", "--directive", "ab", "--length", "40")
+    assert code == 2
+    assert err == "error: directive ab exhausted at length 3, need 40\n"
 
 
 def test_generate_mechanical(capsys):
@@ -44,6 +47,36 @@ def test_generate_bad_spec(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"excluded_letter": 5},
+        {"inner_directive": 7},
+        {"p": None},
+        {"p": float("inf")},
+        {"mu": ["a"]},
+    ],
+)
+def test_malformed_episkew_spec_is_input_error(capsys, spec):
+    # JSON that parses but has the wrong shape is an input error (exit 2),
+    # never a traceback, wherever an episkew spec is accepted.
+    valid = dict(mu="", excluded_letter="c", inner_directive="*ab", p=0, suffix_index=1)
+    text = json.dumps({**valid, **spec})
+    for argv in (
+        ["generate", "--episkew", text, "--length", "5"],
+        ["test", "fine", text, "--k", "3"],
+        ["complexity", text, "--max-n", "3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: episkew ")
+    for text in ("[1]", '"x"'):
+        code, _, err = run(capsys, "generate", "--episkew", text, "--length", "5")
+        assert code == 2
+        assert err == f"error: episkew spec must be a JSON object, got {json.loads(text)!r}\n"
+
+
 def test_minmax(capsys):
     code, out, _ = run(capsys, "minmax", "baabacababac", "--order", "bac")
     assert code == 0
@@ -55,6 +88,7 @@ def test_minmax(capsys):
 def test_minmax_bad_order(capsys):
     code, _, err = run(capsys, "minmax", "abc", "--order", "ab")
     assert code == 2
+    assert err == "error: letter 'c' outside alphabet 'ab'\n"
 
 
 def test_test_episturmian(capsys):
@@ -104,6 +138,22 @@ def test_complexity(capsys):
     assert out.split() == ["2", "3", "4", "5", "6"]
     code, out, _ = run(capsys, "complexity", "aaaa", "--max-n", "3")
     assert out.split() == ["1", "1", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["*ab", "--max-n", "0"],
+        ["*ab", "--max-n", "-3"],
+        ["*ab", "--max-n", "3", "--length", "-5"],
+        ["aaaa", "--max-n", "0"],
+    ],
+)
+def test_complexity_rejects_out_of_range_lengths(capsys, argv):
+    code, out, err = run(capsys, "complexity", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --")
 
 
 def test_verify(capsys):

@@ -96,13 +96,23 @@ def test_standard_prefix():
     assert standard_prefix(DirectiveSpec("", "ab"), 6) == "abaaba"
     assert standard_prefix(DirectiveSpec("", "abc"), 7) == "abacaba"
     assert standard_prefix(DirectiveSpec("a", "a"), 5) == "aaaaa"
-    with pytest.raises(InsufficientDirectiveError):
+    assert standard_prefix(DirectiveSpec("", "ab"), 0) == ""
+    with pytest.raises(
+        InsufficientDirectiveError, match="^directive ab exhausted at length 3, need 50$"
+    ):
         standard_prefix(DirectiveSpec("ab", ""), 50)
 
 
 def test_palindromic_prefixes_are_nested_palindromes():
     us = palindromic_prefixes(DirectiveSpec("", "abc"), 10)
     assert us[0] == ""
+    assert palindromic_prefixes(DirectiveSpec("", "abc"), 0) == [""]
+    assert palindromic_prefixes(DirectiveSpec("", "abc"), 1) == [""]
+    assert palindromic_prefixes(DirectiveSpec("ab", ""), 3) == ["", "a", "aba"]
+    with pytest.raises(
+        InsufficientDirectiveError, match="^directive ab has only 2 letters, need 3$"
+    ):
+        palindromic_prefixes(DirectiveSpec("ab", ""), 4)
     for prev, cur in zip(us, us[1:]):
         assert cur.startswith(prev)
         assert is_palindrome(cur)
@@ -112,7 +122,10 @@ def test_h_words():
     assert h_words(DirectiveSpec("", "ab"), 2) == ["a", "ab"]
     assert h_words(DirectiveSpec("", "abc"), 3) == ["a", "ab", "abac"]
     assert h_words(DirectiveSpec("", "a"), 1) == ["a"]
-    with pytest.raises(InsufficientDirectiveError):
+    assert h_words(DirectiveSpec("", "ab"), 0) == []
+    with pytest.raises(
+        InsufficientDirectiveError, match="^directive ab has fewer than 3 letters$"
+    ):
         h_words(DirectiveSpec("ab", ""), 3)
 
 

@@ -1,3 +1,6 @@
+from functools import cmp_to_key
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from epiword import (
     factors,
     is_palindrome,
     lex_compare,
+    lex_le,
     max_factor,
     max_of,
     min_factor,
@@ -41,8 +45,33 @@ def test_lex_compare(u, v, order, expected):
 
 
 def test_lex_compare_rejects_foreign_letters():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="letter 'c' outside alphabet 'ab'"):
         lex_compare("abc", "ab", Order("ab"))
+
+
+def _lex_compare_by_letters(u, v, order):
+    # Per-letter reference: the first differing letter decides by rank, and
+    # when one word is a prefix of the other the shorter is smaller.
+    for cu, cv in zip(u, v):
+        ru, rv = order.letters.index(cu), order.letters.index(cv)
+        if ru != rv:
+            return LESS if ru < rv else GREATER
+    if len(u) == len(v):
+        return EQUAL
+    return LESS if len(u) < len(v) else GREATER
+
+
+def test_rank_keys_match_letter_loop_exhaustive():
+    # Every pair of words of length 0-4 over abc, under all six orders.
+    words = ["".join(t) for n in range(5) for t in product("abc", repeat=n)]
+    for order in all_orders("abc"):
+        for u in words:
+            for v in words:
+                expected = _lex_compare_by_letters(u, v, order)
+                assert lex_compare(u, v, order) == expected
+                assert lex_le(u, v, order) == (expected != GREATER)
+        by_letters = cmp_to_key(lambda u, v: _lex_compare_by_letters(u, v, order))
+        assert sorted(words, key=order.key) == sorted(words, key=by_letters)
 
 
 @given(words_abc, words_abc, words_abc)
