@@ -6,7 +6,8 @@ no cache: strip the least separating letter with the inverse block parse and
 repeat, accepting once the word is a single letter off a power of another.
 Acceptance yields a directive word embedding the input in a generated
 standard word, plus a witness prefix u for which a·u is lexicographically at
-most min(w) under every order on the alphabet.
+most min(w) under every order on the alphabet. Balance is the paper's
+lexicographic test on min(w) and max(w); oracles.py counts the windows.
 """
 
 from dataclasses import dataclass
@@ -100,21 +101,19 @@ def _base_form(w: str):
 
 
 def _desubstitute(w: str):
-    """One de-substitution step: (x, big, r) with x the least separating
-    letter, big = w aligned to start with x, and r = psi_x^{-1}(big); None
-    when w has no separating letter."""
-    seps = separating_letters(w)
-    if not seps:
-        return None
-    x = min(seps)
-    big = w if w[0] == x else x + w
-    return x, big, psi_inverse(x, big)
+    """(x, psi_x^{-1}(w aligned to start with x)) for the least letter x whose
+    block parse succeeds, which is the least separating letter; else None."""
+    for x in sorted(set(w)):
+        r = psi_inverse(x, w if w[0] == x else x + w)
+        if r is not None:
+            return x, r
+    return None
 
 
 def _reject_reason(w: str) -> RejectReason | None:
     """Why w is not finite episturmian, or None when it is."""
-    # A final x of big is a whole block, so dropping it from the reading is
-    # the same as reading big without it. Finite episturmian words are closed
+    # A final x of w is a whole block, so dropping it from the reading is
+    # the same as reading w without it. Finite episturmian words are closed
     # under factors and each extends to the right, so that trimmed reading
     # alone decides w.
     reason = RejectReason.NO_SEPARATING_LETTER
@@ -122,8 +121,8 @@ def _reject_reason(w: str) -> RejectReason | None:
         step = _desubstitute(w)
         if step is None:
             return reason
-        x, big, r = step
-        w = r[:-1] if big.endswith(x) else r
+        x, r = step
+        w = r[:-1] if w.endswith(x) else r
         reason = RejectReason.REDUCTION_FAILED
     return None
 
@@ -132,10 +131,10 @@ def _build_certificate(w: str) -> Certificate:
     chain = []
     cur = w
     while (base := _base_form(cur)) is None:
-        x, big, r = _desubstitute(cur)
+        x, r = _desubstitute(cur)
         chain.append(x)
         # Keep the full reading when it is accepted; the trimmed one always is.
-        cur = r if not big.endswith(x) or _reject_reason(r) is None else r[:-1]
+        cur = r if not cur.endswith(x) or _reject_reason(r) is None else r[:-1]
     x, y, p, q = base
     tail = x * p if y is None else x * max(p, q) + y
     directive = DirectiveSpec("".join(chain) + tail, x)
@@ -212,20 +211,13 @@ def find_witness(w: str) -> str | None:
 
 def is_balanced(w: str) -> bool:
     """True iff equal-length factors of w never differ by more than one
-    occurrence of either letter (binary words only)."""
+    occurrence of either letter (binary words only); by Glen, Justin and
+    Pirillo's characterization, iff sturmian_test finds no u with a·u·a a
+    prefix of min(w) and b·u·b a prefix of max(w)."""
     validate_word(w)
     if not alph(w) <= {"a", "b"}:
         raise InputError(f"balance is defined over letters a, b: {w!r}")
-    for n in range(1, len(w)):
-        count = w[:n].count("b")
-        lo = hi = count
-        for i in range(1, len(w) - n + 1):
-            count += (w[i + n - 1] == "b") - (w[i - 1] == "b")
-            lo = min(lo, count)
-            hi = max(hi, count)
-            if hi - lo > 1:
-                return False
-    return True
+    return len(set(w)) < 2 or sturmian_test(w).sturmian
 
 
 @dataclass(frozen=True)

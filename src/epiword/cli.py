@@ -126,7 +126,7 @@ def _each_word(args, text: str, judge) -> int:
 def _minmax(args, w: str):
     if not w:
         raise InputError("empty word")
-    order = Order(args.order) if args.order else alphabetical(w)
+    order = Order(args.order) if args.order is not None else alphabetical(w)
     if args.k is not None:
         lo = min_factor(w, args.k, order)
         hi = max_factor(w, args.k, order)
@@ -211,7 +211,7 @@ def _cmd_verify(args) -> int:
     for w, d, o in report.mismatches:
         lines.append(f"mismatch word={w} decider={d} oracle={o}")
     lines.append(f"elapsed={report.elapsed_seconds:.2f}s")
-    _emit(args, report.to_json_dict(include_timing=False), lines)
+    _emit(args, report.to_json_dict(), lines)
     return EXIT_OK if report.passed else EXIT_REJECT
 
 

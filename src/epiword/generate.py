@@ -287,6 +287,9 @@ class EpiskewSpec:
             p, suffix_index = int(obj.get("p", 0)), int(obj["suffix_index"])
         except (TypeError, OverflowError) as exc:
             raise InputError(f"episkew p and suffix_index must be integers: {exc}") from exc
+        for value in (obj.get("p", 0), obj["suffix_index"]):
+            if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+                raise InputError(f"episkew p and suffix_index must be integers, got {value!r}")
         return cls(texts["mu"], texts["excluded_letter"], inner, p, suffix_index)
 
     def to_json_dict(self) -> dict:

@@ -29,11 +29,13 @@ from epiword import (
     min_of,
     oracle_is_finite_episturmian,
     psi,
+    psi_inverse,
     separating_letters,
     standard_prefix,
     sturmian_test,
     wide_sense_check,
 )
+from epiword.oracles import _balanced_by_windows
 
 
 def test_separating_letters():
@@ -43,6 +45,18 @@ def test_separating_letters():
     assert separating_letters("b") == {"b"}
     assert separating_letters("b", alphabet="abc") == {"a", "b", "c"}
     assert separating_letters("aabb") == set()
+
+
+def test_block_parse_succeeds_exactly_for_separating_letters():
+    # The de-substitution step picks its letter by this fact alone.
+    for letters, max_len in (("ab", 12), ("abc", 7)):
+        for n in range(2, max_len + 1):
+            for tup in product(letters, repeat=n):
+                w = "".join(tup)
+                seps = separating_letters(w)
+                for x in letters:
+                    aligned = w if w[0] == x else x + w
+                    assert (psi_inverse(x, aligned) is not None) == (x in seps), (w, x)
 
 
 @pytest.mark.parametrize(
@@ -208,7 +222,8 @@ def test_binary_equivalence_exhaustive():
     for n in range(1, 12):
         for tup in product("ab", repeat=n):
             w = "".join(tup)
-            balanced = is_balanced(w)
+            balanced = _balanced_by_windows(w)
+            assert is_balanced(w) == balanced, w
             assert is_finite_episturmian(w).accepted == balanced, w
             if len(alph(w)) == 2:
                 assert sturmian_test(w).sturmian == balanced, w
@@ -286,6 +301,20 @@ def test_wide_sense_and_deep_reject_stay_bounded():
     deep = is_finite_episturmian(apply_morphism("a" * 1500, "bbcc"))
     assert deep.reason is RejectReason.REDUCTION_FAILED
     assert sys.getrecursionlimit() == limit
+
+
+def test_is_balanced_stays_fast_on_long_words():
+    # 10^4 letters each within 2 s; the window count takes minutes here.
+    rng = random.Random(6)
+    fibonacci = DirectiveSpec("", "ab").prefix(10**4)
+    directed = DirectiveSpec("".join(rng.choice("ab") for _ in range(60))).prefix(10**4)
+    flipped = fibonacci[:5000] + {"a": "b", "b": "a"}[fibonacci[5000]] + fibonacci[5001:]
+    for w, expected in ((fibonacci, True), (directed, True), (flipped, False)):
+        assert len(w) == 10**4 and alph(w) == {"a", "b"}
+        start = time.perf_counter()
+        assert is_balanced(w) is expected
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, elapsed
 
 
 def test_wide_sense_matches_brute_force_exhaustive():

@@ -55,6 +55,8 @@ def test_generate_bad_spec(capsys):
         {"p": None},
         {"p": float("inf")},
         {"mu": ["a"]},
+        {"p": 1.5},
+        {"suffix_index": True},
     ],
 )
 def test_malformed_episkew_spec_is_input_error(capsys, spec):
@@ -89,6 +91,10 @@ def test_minmax_bad_order(capsys):
     code, _, err = run(capsys, "minmax", "abc", "--order", "ab")
     assert code == 2
     assert err == "error: letter 'c' outside alphabet 'ab'\n"
+    code, out, err = run(capsys, "minmax", "ab", "--order", "")
+    assert code == 2
+    assert out == ""
+    assert err == "error: letter 'a' outside alphabet ''\n"
 
 
 def test_test_episturmian(capsys):

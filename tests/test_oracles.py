@@ -88,4 +88,3 @@ def test_sweep_report_json():
     assert data["passed"] is True
     assert data["mismatches"] == []
     assert "elapsed_seconds" not in data
-    assert "elapsed_seconds" in report.to_json_dict(include_timing=True)
