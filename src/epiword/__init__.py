@@ -1,12 +1,8 @@
 """Generators and deciders for Sturmian, episturmian, skew and episkew words."""
 
 from .words import (
-    EQUAL,
-    GREATER,
-    LESS,
     MAX_ALPHABET,
     EpiwordError,
-    FactorSet,
     InconclusiveError,
     InputError,
     InsufficientDirectiveError,
@@ -17,7 +13,6 @@ from .words import (
     factor_complexity,
     factors,
     is_palindrome,
-    lex_compare,
     lex_le,
     max_factor,
     max_of,
@@ -32,10 +27,7 @@ from .generate import (
     EventuallyPeriodicSpec,
     MechanicalSpec,
     apply_morphism,
-    episkew_prefix,
-    eventually_periodic_prefix,
     h_words,
-    mechanical_prefix,
     pal_closure,
     palindromic_prefixes,
     psi,

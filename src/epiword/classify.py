@@ -72,13 +72,12 @@ class Verdict:
         }
 
 
-def separating_letters(w: str, alphabet=None) -> set[str]:
-    """Letters occurring in every length-2 factor of w.
+def separating_letters(w: str) -> set[str]:
+    """Letters of w occurring in every length-2 factor of w.
 
-    For |w| <= 1 the condition is vacuous and the whole alphabet qualifies
-    (defaulting to the letters of w).
+    For |w| <= 1 the condition is vacuous and every letter of w qualifies.
     """
-    letters = set(alphabet) if alphabet is not None else alph(w)
+    letters = alph(w)
     if len(w) <= 1:
         return letters
     pairs = factors(w, 2)

@@ -1,8 +1,11 @@
-"""Word generators: letter morphisms, palindromic right-closure, directive
-words, mechanical words, and non-recurrent (skew-style) constructions.
+"""Word generators: letter morphisms, directive words, mechanical words, and
+non-recurrent (skew-style) constructions; each source spec generates through
+its own prefix(n).
 
 A directive word drives the iterated palindromic closure u(n+1) = (u(n)·x)^+,
 whose nested palindromic prefixes converge to a standard episturmian word.
+palindromic_walk takes each step by Justin's formula; pal_closure, the direct
+construction, is off that path and serves the oracles as a reference.
 """
 
 from dataclasses import dataclass
@@ -54,7 +57,7 @@ def pal_closure(w: str) -> str:
     """The shortest palindrome having w as a prefix.
 
     Splits w = u·v at the longest palindromic suffix v and returns u·v·ũ.
-    Naive quadratic scan; plenty at desk scale.
+    Naive quadratic scan, kept as the reference that the oracles use.
     """
     n = len(w)
     for i in range(n):
@@ -119,11 +122,19 @@ class DirectiveSpec:
 
 def palindromic_walk(letters):
     """Yield the nested palindromic prefixes u(1) = empty and
-    u(i+1) = (u(i)·x(i))^+ for the letters x(1), x(2), ... in turn."""
+    u(i+1) = (u(i)·x(i))^+ for the letters x(1), x(2), ... in turn.
+
+    Each step is Justin's formula (RAIRO ITA 39, 2005), with no rescan:
+    u(i)·x·u(i) when x is new, else u(i)·u(j)^{-1}·u(i), where u(j) is the
+    prefix just before x's previous step.
+    """
     u = ""
+    before = {}
     yield u
     for x in letters:
-        u = pal_closure(u + x)
+        cut = before.get(x)
+        before[x] = len(u)
+        u = u + x + u if cut is None else u + u[cut:]
         yield u
 
 
@@ -192,29 +203,13 @@ class MechanicalSpec:
         }
 
     def prefix(self, n: int) -> str:
-        return mechanical_prefix(self, n)
-
-
-def mechanical_prefix(m: MechanicalSpec, n: int) -> str:
-    """First n letters: 'a' where the floor (or ceiling) difference is 0."""
-    f = floor if m.variant == "floor" else ceil
-    out = []
-    for i in range(n):
-        step = f((i + 1) * m.alpha + m.rho) - f(i * m.alpha + m.rho)
-        out.append("a" if step == 0 else "b")
-    return "".join(out)
-
-
-def eventually_periodic_prefix(u: str, v: str, n: int) -> str:
-    """First n letters of u followed by v repeated forever."""
-    validate_word(u)
-    validate_word(v)
-    if not v:
-        raise InputError("periodic part must be non-empty")
-    out = u
-    while len(out) < n:
-        out += v
-    return out[:n]
+        """First n letters: 'a' where the floor (or ceiling) difference is 0."""
+        f = floor if self.variant == "floor" else ceil
+        out = []
+        for i in range(n):
+            step = f((i + 1) * self.alpha + self.rho) - f(i * self.alpha + self.rho)
+            out.append("a" if step == 0 else "b")
+        return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -231,7 +226,11 @@ class EventuallyPeriodicSpec:
             raise InputError("periodic part must be non-empty")
 
     def prefix(self, n: int) -> str:
-        return eventually_periodic_prefix(self.preperiod, self.period, n)
+        """First n letters of the preperiod followed by the period forever."""
+        out = self.preperiod
+        while len(out) < n:
+            out += self.period
+        return out[:n]
 
 
 @dataclass(frozen=True)
@@ -312,14 +311,10 @@ class EpiskewSpec:
         return image[len(image) - self.suffix_index :]
 
     def prefix(self, n: int) -> str:
-        return episkew_prefix(self, n)
-
-
-def episkew_prefix(e: EpiskewSpec, n: int) -> str:
-    """First n letters of v·mu(s)."""
-    v = e.head()
-    if n <= len(v):
-        return v[:n]
-    rest = n - len(v)
-    image = apply_morphism(e.mu, e.inner_directive.prefix(rest))
-    return v + image[:rest]
+        """First n letters of v·mu(s)."""
+        v = self.head()
+        if n <= len(v):
+            return v[:n]
+        rest = n - len(v)
+        image = apply_morphism(self.mu, self.inner_directive.prefix(rest))
+        return v + image[:rest]

@@ -16,22 +16,19 @@ from .words import InputError, alph, validate_word
 _SWEEP_BUDGET = {2: 14, 3: 8}
 
 
-def oracle_is_finite_episturmian(w: str, directive_bound: int | None = None) -> bool:
+def oracle_is_finite_episturmian(w: str) -> bool:
     """True iff w occurs in the word generated by some directive over the
-    letters of w with length at most directive_bound (default 2|w|).
+    letters of w.
 
-    Enumeration is exhaustive with iterative deepening. Searching past depth
-    |w| cannot change the answer: any embedding de-substitutes, shrinking the
-    word at every step, to one of directive length at most |w|.
+    Enumeration is exhaustive with iterative deepening up to directive
+    length |w|. Searching deeper cannot change the answer: any embedding
+    de-substitutes, shrinking the word at every step, to one of directive
+    length at most |w|.
     """
     validate_word(w)
     if not w:
         raise InputError("empty word")
-    bound = 2 * len(w) if directive_bound is None else directive_bound
-    if bound < 1:
-        raise InputError("directive_bound must be positive")
     letters = sorted(alph(w))
-    cap = min(bound, len(w))
 
     def search(u: str, remaining: int) -> bool:
         for x in letters:
@@ -42,23 +39,24 @@ def oracle_is_finite_episturmian(w: str, directive_bound: int | None = None) -> 
                 return True
         return False
 
-    return any(search("", limit) for limit in range(1, cap + 1))
+    return any(search("", limit) for limit in range(1, len(w) + 1))
 
 
-def discovery_table(letters, max_depth: int, max_factor_len: int) -> dict[str, int]:
+def discovery_table(letters, max_len: int) -> dict[str, int]:
     """factor -> least directive length whose generated word contains it,
-    over all directives on the given letters up to max_depth."""
+    for factors of length up to max_len, over all directives on the given
+    letters of length up to max_len."""
     letters = sorted(set(letters))
     table: dict[str, int] = {}
 
     def visit(u: str, parent_len: int, depth: int):
         for end in range(parent_len + 1, len(u) + 1):
-            for size in range(1, min(max_factor_len, end) + 1):
+            for size in range(1, min(max_len, end) + 1):
                 f = u[end - size : end]
                 old = table.get(f)
                 if old is None or depth < old:
                     table[f] = depth
-        if depth < max_depth:
+        if depth < max_len:
             for x in letters:
                 visit(pal_closure(u + x), len(u), depth + 1)
 
@@ -121,13 +119,13 @@ def _episturmian_oracle_ternary(max_len: int):
     # One discovery table per word alphabet keeps the per-word contract
     # (directives over Alph(w) only) while sharing the enumeration. A factor
     # counts as found when its first discovery depth is within the per-word
-    # cap, matching oracle_is_finite_episturmian with its default bound.
+    # cap, matching oracle_is_finite_episturmian.
     tables: dict[frozenset, dict[str, int]] = {}
 
     def verdict(w: str) -> bool:
         key = frozenset(w)
         if key not in tables:
-            tables[key] = discovery_table(key, max_len, max_len)
+            tables[key] = discovery_table(key, max_len)
         depth = tables[key].get(w)
         return depth is not None and depth <= len(w)
 

@@ -11,9 +11,6 @@ from itertools import permutations
 
 MAX_ALPHABET = 8
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
-
 class EpiwordError(Exception):
     pass
 
@@ -91,16 +88,8 @@ def all_orders(letters) -> list[Order]:
     return [Order("".join(p)) for p in permutations(letters)]
 
 
-def lex_compare(u: str, v: str, order: Order) -> int:
-    """Compare u and v lexicographically; a proper prefix compares less.
-
-    Returns LESS (-1), EQUAL (0) or GREATER (1).
-    """
-    ku, kv = order.key(u), order.key(v)
-    return (ku > kv) - (ku < kv)
-
-
 def lex_le(u: str, v: str, order: Order) -> bool:
+    """u <= v lexicographically under order; a proper prefix compares less."""
     return order.key(u) <= order.key(v)
 
 
@@ -109,20 +98,6 @@ def factors(w: str, n: int) -> set[str]:
     if not 1 <= n <= len(w):
         raise InputError(f"factor length {n} out of range for |w|={len(w)}")
     return {w[i : i + n] for i in range(len(w) - n + 1)}
-
-
-@dataclass
-class FactorSet:
-    """Factor sets of one word, indexed by length."""
-
-    by_length: dict[int, set[str]]
-
-    @classmethod
-    def of(cls, w: str, max_n: int | None = None) -> "FactorSet":
-        max_n = len(w) if max_n is None else max_n
-        if max_n > len(w):
-            raise InputError(f"max_n {max_n} exceeds |w|={len(w)}")
-        return cls({n: factors(w, n) for n in range(1, max_n + 1)})
 
 
 def factor_complexity(w: str, max_n: int) -> list[int]:

@@ -43,7 +43,6 @@ def test_separating_letters():
     assert separating_letters("abab") == {"a", "b"}
     assert separating_letters("bcb") == {"b", "c"}
     assert separating_letters("b") == {"b"}
-    assert separating_letters("b", alphabet="abc") == {"a", "b", "c"}
     assert separating_letters("aabb") == set()
 
 
@@ -235,7 +234,7 @@ def test_ternary_matches_oracle_exhaustive():
             w = "".join(tup)
             assert (
                 is_finite_episturmian(w).accepted
-                == oracle_is_finite_episturmian(w, 2 * n)
+                == oracle_is_finite_episturmian(w)
             ), w
 
 

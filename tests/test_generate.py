@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -13,13 +14,10 @@ from epiword import (
     InputError,
     InsufficientDirectiveError,
     MechanicalSpec,
-    episkew_prefix,
-    eventually_periodic_prefix,
     factor_complexity,
     factors,
     h_words,
     is_palindrome,
-    mechanical_prefix,
     pal_closure,
     palindromic_prefixes,
     psi,
@@ -27,6 +25,7 @@ from epiword import (
     reversal,
     standard_prefix,
 )
+from epiword.generate import palindromic_walk
 
 words = st.text(alphabet="abc", max_size=30)
 
@@ -101,6 +100,37 @@ def test_standard_prefix():
         InsufficientDirectiveError, match="^directive ab exhausted at length 3, need 50$"
     ):
         standard_prefix(DirectiveSpec("ab", ""), 50)
+
+
+def _walk_by_closure(letters):
+    # The direct construction: close u·x to the shortest palindrome.
+    u = ""
+    yield u
+    for x in letters:
+        u = pal_closure(u + x)
+        yield u
+
+
+def test_walk_matches_closure_walk():
+    rng = random.Random(11)
+    for _ in range(400):
+        letters = "abcd"[: rng.randint(1, 4)]
+        xs = "".join(rng.choice(letters) for _ in range(rng.randint(0, 16)))
+        assert list(palindromic_walk(xs)) == list(_walk_by_closure(xs)), xs
+
+
+def test_one_letter_closure_steps_stay_fast():
+    # Directive a*b grows by one letter per closure step, the worst case
+    # for a closure that rescans the word: tens of seconds at these sizes.
+    start = time.perf_counter()
+    assert len(standard_prefix(DirectiveSpec("a", "b"), 40_000)) == 40_001
+    assert time.perf_counter() - start < 2.0
+    spec = EpiskewSpec.from_json(
+        {"excluded_letter": "c", "inner_directive": "a*b", "p": 20_000, "suffix_index": 1}
+    )
+    start = time.perf_counter()
+    assert spec.prefix(5) == "cabab"
+    assert time.perf_counter() - start < 2.0
 
 
 def test_palindromic_prefixes_are_nested_palindromes():
@@ -179,7 +209,7 @@ def test_strict_directive_complexity():
     ],
 )
 def test_mechanical_prefix(alpha, rho, variant, n, expected):
-    assert mechanical_prefix(MechanicalSpec(alpha, rho, variant), n) == expected
+    assert MechanicalSpec(alpha, rho, variant).prefix(n) == expected
 
 
 def test_mechanical_validation():
@@ -211,17 +241,15 @@ def _matching_directive(target):
 def test_mechanical_agrees_with_some_directive(alpha):
     # Standard-case mechanical words are directive-generated; enumeration
     # digs up a directive reproducing the whole sampled prefix.
-    mech = mechanical_prefix(
-        MechanicalSpec(alpha, alpha), 3 * alpha.denominator + 20
-    )
+    mech = MechanicalSpec(alpha, alpha).prefix(3 * alpha.denominator + 20)
     assert _matching_directive(mech) is not None
 
 
 def test_episkew_prefix():
     whole = EpiskewSpec("", "b", DirectiveSpec("", "a"), 2, 3)
-    assert episkew_prefix(whole, 6) == "aabaaa"
+    assert whole.prefix(6) == "aabaaa"
     single = EpiskewSpec("", "c", DirectiveSpec("", "ab"), 0, 1)
-    assert episkew_prefix(single, 7) == "cabaaba"
+    assert single.prefix(7) == "cabaaba"
 
 
 def test_episkew_head_always_ends_with_excluded_letter():
@@ -237,7 +265,7 @@ def test_episkew_validation():
     with pytest.raises(InputError):
         EpiskewSpec("", "c", DirectiveSpec("", "ab"), 0, 0)  # empty suffix
     with pytest.raises(InputError):
-        episkew_prefix(EpiskewSpec("", "c", DirectiveSpec("", "ab"), 0, 99), 5)
+        EpiskewSpec("", "c", DirectiveSpec("", "ab"), 0, 99).prefix(5)
 
 
 def test_episkew_json_round_trip():
@@ -246,9 +274,8 @@ def test_episkew_json_round_trip():
 
 
 def test_eventually_periodic_prefix():
-    assert eventually_periodic_prefix("b", "a", 4) == "baaa"
-    assert eventually_periodic_prefix("", "ab", 5) == "ababa"
-    assert eventually_periodic_prefix("aab", "ab", 7) == "aababab"
-    with pytest.raises(InputError):
-        eventually_periodic_prefix("a", "", 3)
     assert EventuallyPeriodicSpec("b", "a").prefix(4) == "baaa"
+    assert EventuallyPeriodicSpec("", "ab").prefix(5) == "ababa"
+    assert EventuallyPeriodicSpec("aab", "ab").prefix(7) == "aababab"
+    with pytest.raises(InputError):
+        EventuallyPeriodicSpec("a", "").prefix(3)

@@ -1,0 +1,47 @@
+"""Golden outputs: the decider's JSON and the wide-sense check, byte for byte.
+
+Each test hashes the output for every word of an exhaustive budget, in
+length-then-itertools.product order, and compares the SHA-256 with a recorded
+value. Any change to a verdict, a reject reason, a certificate field or a
+reported bad factor shows up here.
+"""
+
+import hashlib
+import json
+from itertools import product
+
+from epiword import is_finite_episturmian, wide_sense_check
+
+
+def _words(budget):
+    for letters, max_len in budget:
+        for n in range(1, max_len + 1):
+            for tup in product(letters, repeat=n):
+                yield "".join(tup)
+
+
+def _digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode())
+    return h.hexdigest()
+
+
+def test_decider_json_golden():
+    words = list(_words((("ab", 14), ("abc", 8))))
+    assert len(words) == 42_606
+    digest = _digest(
+        json.dumps(is_finite_episturmian(w).to_json_dict(), sort_keys=True) + "\n"
+        for w in words
+    )
+    assert digest == "cf3b986b94e3aa6a29e8be237ad09f0c77d1a61b0728a5cf443b4ec139a40bae"
+
+
+def test_wide_sense_golden():
+    words = list(_words((("ab", 12), ("abc", 7))))
+    assert len(words) == 11_469
+    lines = []
+    for w in words:
+        r = wide_sense_check(w)
+        lines.append(f"{w} {r.ok} {r.bad_factor}\n")
+    assert _digest(lines) == "93427ae2ca41507fd1a050798057c184bb8288554be647b7d6c50ba95bf2b30c"

@@ -13,38 +13,28 @@ from epiword import (
 
 
 def test_oracle_examples():
-    assert oracle_is_finite_episturmian("baabacababac", 24)
-    assert not oracle_is_finite_episturmian("aabb", 8)
-    assert oracle_is_finite_episturmian("a", 1)
+    assert oracle_is_finite_episturmian("baabacababac")
+    assert not oracle_is_finite_episturmian("aabb")
+    assert oracle_is_finite_episturmian("a")
     assert oracle_is_finite_episturmian("aaaa")
 
 
-def test_oracle_monotone_in_bound():
-    for n in range(1, 6):
-        for tup in product("ab", repeat=n):
-            w = "".join(tup)
-            answers = [oracle_is_finite_episturmian(w, b) for b in range(1, 2 * n + 1)]
-            for early, late in zip(answers, answers[1:]):
-                assert late or not early, (w, answers)
-
-
-def test_oracle_stable_past_word_length():
-    # Extra directive budget beyond |w| never changes the verdict.
-    for n in range(1, 6):
-        for tup in product("abc", repeat=n):
-            w = "".join(tup)
-            assert oracle_is_finite_episturmian(w, n) == oracle_is_finite_episturmian(
-                w, 2 * n
-            ), w
+@pytest.mark.parametrize("letters, max_len, checked", [("ab", 12, 6), ("abc", 8, 4)])
+def test_no_factor_first_found_deeper_than_its_length(letters, max_len, checked):
+    # The oracle stops at directive length |w|; directives up to twice that
+    # long find no factor of length n that none of length <= n finds.
+    table = discovery_table(letters, max_len)
+    late = {f: d for f, d in table.items() if len(f) <= checked and d > len(f)}
+    assert not late
 
 
 def test_discovery_table_agrees_with_oracle():
-    table = discovery_table("ab", 6, 6)
+    table = discovery_table("ab", 6)
     for n in range(1, 7):
         for tup in product("ab", repeat=n):
             w = "".join(tup)
             found = table.get(w)
-            expected = oracle_is_finite_episturmian(w, 2 * n)
+            expected = oracle_is_finite_episturmian(w)
             assert (found is not None and found <= n) == expected, w
 
 

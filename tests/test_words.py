@@ -6,10 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epiword import (
-    EQUAL,
-    GREATER,
-    LESS,
-    FactorSet,
     InputError,
     Order,
     all_orders,
@@ -18,7 +14,6 @@ from epiword import (
     factor_complexity,
     factors,
     is_palindrome,
-    lex_compare,
     lex_le,
     max_factor,
     max_of,
@@ -28,6 +23,8 @@ from epiword import (
 )
 
 words_abc = st.text(alphabet="abc", min_size=1, max_size=40)
+
+LESS, EQUAL, GREATER = -1, 0, 1
 
 
 @pytest.mark.parametrize(
@@ -41,12 +38,13 @@ words_abc = st.text(alphabet="abc", min_size=1, max_size=40)
     ],
 )
 def test_lex_compare(u, v, order, expected):
-    assert lex_compare(u, v, Order(order)) == expected
+    assert lex_le(u, v, Order(order)) == (expected != GREATER)
+    assert lex_le(v, u, Order(order)) == (expected != LESS)
 
 
 def test_lex_compare_rejects_foreign_letters():
     with pytest.raises(InputError, match="letter 'c' outside alphabet 'ab'"):
-        lex_compare("abc", "ab", Order("ab"))
+        lex_le("abc", "ab", Order("ab"))
 
 
 def _lex_compare_by_letters(u, v, order):
@@ -68,7 +66,6 @@ def test_rank_keys_match_letter_loop_exhaustive():
         for u in words:
             for v in words:
                 expected = _lex_compare_by_letters(u, v, order)
-                assert lex_compare(u, v, order) == expected
                 assert lex_le(u, v, order) == (expected != GREATER)
         by_letters = cmp_to_key(lambda u, v: _lex_compare_by_letters(u, v, order))
         assert sorted(words, key=order.key) == sorted(words, key=by_letters)
@@ -77,9 +74,10 @@ def test_rank_keys_match_letter_loop_exhaustive():
 @given(words_abc, words_abc, words_abc)
 def test_lex_compare_total_order(u, v, w):
     order = Order("bca")
-    assert lex_compare(u, v, order) == -lex_compare(v, u, order)
-    if lex_compare(u, v, order) != GREATER and lex_compare(v, w, order) != GREATER:
-        assert lex_compare(u, w, order) != GREATER
+    assert lex_le(u, v, order) or lex_le(v, u, order)
+    assert (lex_le(u, v, order) and lex_le(v, u, order)) == (u == v)
+    if lex_le(u, v, order) and lex_le(v, w, order):
+        assert lex_le(u, w, order)
 
 
 def test_factors():
@@ -94,12 +92,12 @@ def test_factors():
 
 @given(words_abc)
 def test_factor_set_consistency(w):
-    fs = FactorSet.of(w)
-    assert len(fs.by_length[1]) == len(alph(w))
+    assert len(factors(w, 1)) == len(alph(w))
     for n in range(2, len(w) + 1):
-        for f in fs.by_length[n]:
-            assert f[:-1] in fs.by_length[n - 1]
-            assert f[1:] in fs.by_length[n - 1]
+        shorter = factors(w, n - 1)
+        for f in factors(w, n):
+            assert f[:-1] in shorter
+            assert f[1:] in shorter
 
 
 @pytest.mark.parametrize(
