@@ -1,19 +1,26 @@
 """Deciders: episturmian membership with machine-checkable certificates,
 balance and Sturmian tests, and prefix-scale checks for generated words.
 
-The membership decider works by de-substitution in one iterative pass with
-no cache: strip the least separating letter with the inverse block parse and
-repeat, accepting once the word is a single letter off a power of another.
+The membership decider works by de-substitution on the run-length form of
+the word, in one iterative pass with no cache: undo psi_x for the least
+letter x whose inverse block parse succeeds (the least separating letter)
+and repeat, accepting once the word is a single letter off a power of
+another. A run step undoes psi_x^m at once, for the largest m over which x
+keeps its place and no word on the way is in base form, so one step costs
+O(runs) and the number of steps counts letter changes in the directive
+rather than letters. The certificate is built in the same pass: a single
+step from a word ending in x keeps the full reading when it is accepted.
 Acceptance yields a directive word embedding the input in a generated
 standard word, plus a witness prefix u for which a·u is lexicographically at
 most min(w) under every order on the alphabet. Balance is the paper's
 lexicographic test on min(w) and max(w); oracles.py counts the windows.
 """
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .generate import DirectiveSpec, palindromic_walk, psi_inverse
+from .generate import DirectiveSpec, palindromic_walk
 from .words import (
     MAX_ALPHABET,
     InputError,
@@ -29,6 +36,9 @@ from .words import (
 )
 
 STABILITY_BUDGET = 2**16
+
+# A maximal run of one letter; words are validated to a-z.
+_RUN = re.compile("|".join(f"{c}+" for c in "abcdefghijklmnopqrstuvwxyz"))
 
 
 class RejectReason(str, Enum):
@@ -84,67 +94,171 @@ def separating_letters(w: str) -> set[str]:
     return {a for a in letters if all(a in f for f in pairs)}
 
 
-def _base_form(w: str):
-    """(x, y, p, q) if w = x^p y x^q with at most one letter y differing
-    from x (y may be None for powers of a single letter), else None."""
-    letters = sorted(set(w))
+def _runs(w: str):
+    """Run-length form of w: the run letters, no letter twice in a row, as a
+    string, and the run lengths as a list."""
+    runs = _RUN.findall(w)
+    return "".join([run[0] for run in runs]), list(map(len, runs))
+
+
+def _base_form(runs):
+    """(x, y, p, q) if the word is x^p y x^q with at most one letter y
+    differing from x (y is None for a power of the single letter x, with
+    q = 0), else None."""
+    letters, counts = runs
     if len(letters) == 1:
-        return (w[0], None, len(w), 0)
+        return letters, None, counts[0], 0
     if len(letters) == 2:
-        for y in letters:
-            if w.count(y) == 1:
-                x = letters[0] if y == letters[1] else letters[1]
-                p = w.index(y)
-                return (x, y, p, len(w) - p - 1)
+        # y is the lesser of the two letters when both occur once.
+        for i in sorted((0, 1), key=letters.__getitem__):
+            if counts[i] == 1:
+                p, q = (0, counts[1]) if i == 0 else (counts[0], 0)
+                return letters[1 - i], letters[i], p, q
+    if len(letters) == 3 and letters[0] == letters[2] and counts[1] == 1:
+        return letters[0], letters[1], counts[0], counts[2]
     return None
 
 
-def _desubstitute(w: str):
-    """(x, psi_x^{-1}(w aligned to start with x)) for the least letter x whose
-    block parse succeeds, which is the least separating letter; else None."""
-    for x in sorted(set(w)):
-        r = psi_inverse(x, w if w[0] == x else x + w)
-        if r is not None:
-            return x, r
+def _parse_letter(runs):
+    """(x, parity) for the least letter x whose psi_x block parse succeeds on
+    the word (aligned to start with x), which is the least separating letter;
+    x's runs are then those at the positions of that parity. None if no
+    letter's parse succeeds. The word has at least two runs.
+
+    The parse succeeds exactly when no two letters other than x are adjacent,
+    that is when x's runs alternate with single other letters.
+    """
+    letters, counts = runs
+    for parity in (0, 1) if letters[0] < letters[1] else (1, 0):
+        xs = letters[parity::2]
+        if xs.count(xs[0]) == len(xs) and max(counts[1 - parity :: 2]) == 1:
+            return xs[0], parity
     return None
+
+
+def _run_length(runs, x: str, parity: int) -> int:
+    """The number m of single trimmed psi_x steps that follow one another
+    from the word: over the first m of them every interior run of x stays
+    at least 1, no word reached is in base form, and x stays the least
+    letter whose parse succeeds.
+
+    A step takes one letter off every run of x; the first and final runs
+    may run out. Another letter y can only be reached in base form or start
+    to parse when it is the only other letter: y x^I y is in base form once
+    I = 1 and both outer runs are gone, and y's parse succeeds once every
+    run of x is 1 long. m is at least 1, as the word itself qualifies.
+    """
+    letters, counts = runs
+    xs = counts[parity::2]
+    lead = xs[0] if parity == 0 else 0
+    trail = xs[-1] if letters[-1] == x else 0
+    interior = xs[1 if lead else 0 : len(xs) - (1 if trail else 0)]
+    m = min(interior)
+    others = letters[1 - parity :: 2]
+    if others.count(others[0]) == len(others):
+        if others[0] < x:
+            m = min(m, max(xs) - 1)
+        if len(others) == 2 and max(lead, trail) < interior[0]:
+            m = min(m, interior[0] - 1)
+    return m
+
+
+def _strip(runs, parity: int, m: int, keep_final: bool = False):
+    """The runs after m single psi_x steps, x's runs being those of the
+    given parity: each run of x is m letters shorter, the first and final
+    ones gone if they had at most m; with keep_final the final run, one of
+    x, keeps its length (the full reading of its lone x blocks)."""
+    letters, counts = runs
+    counts = counts.copy()
+    shorter = [c - m for c in counts[parity::2]]
+    if keep_final:
+        shorter[-1] += m
+    counts[parity::2] = shorter
+    if min(shorter) > 0:
+        return letters, counts
+    # Runs of x are gone: an interior one's two neighbours meet.
+    merged_letters, merged = [], []
+    for c, k in zip(letters, counts):
+        if k <= 0:
+            continue
+        if merged_letters and merged_letters[-1] == c:
+            merged[-1] += k
+        else:
+            merged_letters.append(c)
+            merged.append(k)
+    return "".join(merged_letters), merged
+
+
+def _reduce(runs, certify: bool = False):
+    """Undo psi_x^m in run steps until the word is in base form.
+
+    Returns (reason, chain, runs): reason is None when the word is accepted,
+    chain holds the letters undone, one per single step, and runs is the
+    word reached. Without certify every step takes the trimmed reading: a
+    final x of the word is a whole block, so dropping it from the reading is
+    the same as reading the word without it, and as finite episturmian
+    words are closed under factors and each extends to the right, that
+    reading alone decides the word. With certify a single step from a word
+    ending in x keeps the full reading when it is accepted, as the
+    certificate records, and the verdict comes out of the same pass.
+    """
+    chain = []
+    reason = RejectReason.NO_SEPARATING_LETTER
+    settled = False
+    while _base_form(runs) is None:
+        step = _parse_letter(runs)
+        if step is None:
+            return reason, chain, runs
+        reason = RejectReason.REDUCTION_FAILED
+        x, parity = step
+        m = _run_length(runs, x, parity)
+        letters, counts = runs
+        if not certify or letters[-1] != x:
+            chain.append(x * m)
+            runs = _strip(runs, parity, m)
+            continue
+        # A single step. The full reading keeps the final run of x whole.
+        # With that run shorter than m, the trimmed path from here loses it
+        # within x's run step and the full path, one x behind, joins it
+        # there, so full is accepted exactly when this word is. Otherwise
+        # full gets a verdict of its own once this word is settled as
+        # accepted: until then the path holds only words accepted exactly
+        # when the first one is, and a rejected word stops here.
+        full = _strip(runs, parity, 1, keep_final=True)
+        if counts[-1] >= m:
+            trimmed = _strip(runs, parity, 1)
+            if not settled:
+                if _reduce(trimmed)[0] is not None:
+                    return reason, chain, runs
+                settled = True
+            if _reduce(full)[0] is not None:
+                full = trimmed
+        chain.append(x)
+        runs = full
+    return None, chain, runs
 
 
 def _reject_reason(w: str) -> RejectReason | None:
     """Why w is not finite episturmian, or None when it is."""
-    # A final x of w is a whole block, so dropping it from the reading is
-    # the same as reading w without it. Finite episturmian words are closed
-    # under factors and each extends to the right, so that trimmed reading
-    # alone decides w.
-    reason = RejectReason.NO_SEPARATING_LETTER
-    while _base_form(w) is None:
-        step = _desubstitute(w)
-        if step is None:
-            return reason
-        x, r = step
-        w = r[:-1] if w.endswith(x) else r
-        reason = RejectReason.REDUCTION_FAILED
-    return None
+    return _reduce(_runs(w))[0]
 
 
-def _build_certificate(w: str) -> Certificate:
-    chain = []
-    cur = w
-    while (base := _base_form(cur)) is None:
-        x, r = _desubstitute(cur)
-        chain.append(x)
-        # Keep the full reading when it is accepted; the trimmed one always is.
-        cur = r if not cur.endswith(x) or _reject_reason(r) is None else r[:-1]
-    x, y, p, q = base
+def _certificate(w: str, chain: list[str], runs) -> Certificate:
+    x, y, p, q = _base_form(runs)
     tail = x * p if y is None else x * max(p, q) + y
     directive = DirectiveSpec("".join(chain) + tail, x)
-    # The prefixes are nested: the first holding w fixes occurrence and witness.
+    # The prefixes are nested: the first holding w fixes occurrence and
+    # witness, and w does not lie within the prefix before it.
+    prev = ""
     for generated in palindromic_walk(directive.preperiod):
-        if (occurrence := generated.find(w)) >= 0:
+        occurrence = generated.find(w, max(0, len(prev) - len(w) + 1))
+        if occurrence >= 0:
             break
+        prev = generated
     assert occurrence >= 0, f"embedding lost {w!r} under directive {directive}"
     return Certificate(
         reduction_letters="".join(chain),
-        base_word=cur,
+        base_word="".join(c * k for c, k in zip(*runs)),
         embedding_directive=directive,
         occurrence_index=occurrence,
         witness_u=generated[: len(w)],
@@ -164,10 +278,10 @@ def is_finite_episturmian(w: str) -> Verdict:
         raise InputError("empty word")
     if len(alph(w)) > MAX_ALPHABET:
         raise InputError(f"alphabet larger than {MAX_ALPHABET}")
-    reason = _reject_reason(w)
+    reason, chain, runs = _reduce(_runs(w), certify=True)
     if reason is not None:
         return Verdict(False, None, reason)
-    cert = _build_certificate(w)
+    cert = _certificate(w, chain, runs)
     if not check_witness(w, cert.witness_u):
         return Verdict(False, None, RejectReason.WITNESS_CHECK_FAILED)
     return Verdict(True, cert, None)

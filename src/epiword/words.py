@@ -6,6 +6,7 @@ first: Order("bac") means b < a < c. Words are compared under an order
 through its rank-string key, so every comparison is a string comparison.
 """
 
+import re
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -27,8 +28,11 @@ class InconclusiveError(EpiwordError):
     """A prefix-scale check did not stabilize within its letter budget."""
 
 
+_WORD = re.compile("[a-z]*")
+
+
 def validate_word(w: str) -> str:
-    if not all("a" <= c <= "z" for c in w):
+    if _WORD.fullmatch(w) is None:
         raise InputError(f"word must be lowercase a-z letters, got {w!r}")
     return w
 

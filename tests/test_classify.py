@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epiword import (
+    Certificate,
     DirectiveSpec,
     EpiskewSpec,
     EventuallyPeriodicSpec,
     InputError,
     Order,
     RejectReason,
+    Verdict,
     WideSenseResult,
     all_orders,
     alph,
@@ -35,6 +37,7 @@ from epiword import (
     sturmian_test,
     wide_sense_check,
 )
+from epiword.generate import palindromic_walk
 from epiword.oracles import _balanced_by_windows
 
 
@@ -47,7 +50,8 @@ def test_separating_letters():
 
 
 def test_block_parse_succeeds_exactly_for_separating_letters():
-    # The de-substitution step picks its letter by this fact alone.
+    # The de-substitution step takes the least such letter, which it reads
+    # off the run-length form: x's runs alternate with single other letters.
     for letters, max_len in (("ab", 12), ("abc", 7)):
         for n in range(2, max_len + 1):
             for tup in product(letters, repeat=n):
@@ -297,9 +301,126 @@ def test_wide_sense_and_deep_reject_stay_bounded():
     assert not result.ok and result.bad_factor == w
     assert elapsed < 5.0, elapsed
     assert sys.getrecursionlimit() == limit
+    start = time.perf_counter()
     deep = is_finite_episturmian(apply_morphism("a" * 1500, "bbcc"))
+    elapsed = time.perf_counter() - start
     assert deep.reason is RejectReason.REDUCTION_FAILED
+    assert elapsed < 1.0, elapsed
     assert sys.getrecursionlimit() == limit
+
+
+def test_run_heavy_words_stay_fast():
+    # The verdict undoes each run of a in one run step, and the certificate
+    # comes from the same pass. Re-deciding at every single step took 10 s
+    # on the first word; stripping one letter per step is quadratic on the
+    # second.
+    k = 400
+    start = time.perf_counter()
+    verdict = is_finite_episturmian(("a" * k + "b") * 3 + "a" * k)
+    elapsed = time.perf_counter() - start
+    assert verdict.accepted and verdict.certificate is not None
+    assert elapsed < 2.0, elapsed
+    k = 500_000
+    start = time.perf_counter()
+    verdict = is_finite_episturmian("a" * (k + 2) + "b" + "a" * k + "b")
+    elapsed = time.perf_counter() - start
+    assert verdict.reason is RejectReason.REDUCTION_FAILED
+    assert elapsed < 5.0, elapsed
+
+
+def _single_step_base_form(w):
+    letters = sorted(set(w))
+    if len(letters) == 1:
+        return (w[0], None, len(w), 0)
+    if len(letters) == 2:
+        for y in letters:
+            if w.count(y) == 1:
+                x = letters[0] if y == letters[1] else letters[1]
+                p = w.index(y)
+                return (x, y, p, len(w) - p - 1)
+    return None
+
+
+def _single_step(w):
+    for x in sorted(set(w)):
+        r = psi_inverse(x, w if w[0] == x else x + w)
+        if r is not None:
+            return x, r
+    return None
+
+
+def _single_step_reason(w):
+    reason = RejectReason.NO_SEPARATING_LETTER
+    while _single_step_base_form(w) is None:
+        step = _single_step(w)
+        if step is None:
+            return reason
+        x, r = step
+        w = r[:-1] if w.endswith(x) else r
+        reason = RejectReason.REDUCTION_FAILED
+    return None
+
+
+def _single_step_verdict(w):
+    # The decider one letter at a time: decide, then rebuild the chain,
+    # re-deciding the full reading at each step from a word ending in x.
+    reason = _single_step_reason(w)
+    if reason is not None:
+        return Verdict(False, None, reason)
+    chain = []
+    cur = w
+    while (base := _single_step_base_form(cur)) is None:
+        x, r = _single_step(cur)
+        chain.append(x)
+        cur = r if not cur.endswith(x) or _single_step_reason(r) is None else r[:-1]
+    x, y, p, q = base
+    tail = x * p if y is None else x * max(p, q) + y
+    directive = DirectiveSpec("".join(chain) + tail, x)
+    for generated in palindromic_walk(directive.preperiod):
+        if (occurrence := generated.find(w)) >= 0:
+            break
+    cert = Certificate("".join(chain), cur, directive, occurrence, generated[: len(w)])
+    if not check_witness(w, cert.witness_u):
+        return Verdict(False, None, RejectReason.WITNESS_CHECK_FAILED)
+    return Verdict(True, cert, None)
+
+
+def _assert_same_verdicts(words):
+    accepted = 0
+    for w in words:
+        got = is_finite_episturmian(w).to_json_dict()
+        assert got == _single_step_verdict(w).to_json_dict(), w
+        accepted += got["accepted"]
+    return accepted
+
+
+def test_run_steps_match_single_steps_on_run_families():
+    # The single-step reference is cubic here; every k up to 40, then a
+    # sample up to 120 (tests/test_golden.py pins every k up to 200).
+    words = []
+    for k in [*range(1, 41), *range(50, 121, 10)]:
+        for a, b in (("a", "b"), ("b", "a")):
+            words.append((a * k + b) * 3 + a * k)
+    for k in range(1, 121):
+        for a, b in (("a", "b"), ("b", "a")):
+            words.append(a * (k + 2) + b + a * k + b)
+    assert _assert_same_verdicts(words) == 96
+
+
+def test_run_steps_match_single_steps_on_psi_images():
+    rng = random.Random(23)
+    words = []
+    for _ in range(400):
+        letters = "abcd"[: rng.randint(2, 4)]
+        core = "".join(rng.choice(letters) for _ in range(rng.randint(1, 8)))
+        morphism = "".join(
+            rng.choice(letters) * rng.randint(1, 4) for _ in range(rng.randint(1, 4))
+        )
+        w = apply_morphism(morphism, core)
+        i = rng.randrange(len(w))
+        words += [w, w[i : i + rng.randint(1, 60)]]
+    # Both verdicts occur: 659 of the 800 words are accepted.
+    assert 0 < _assert_same_verdicts(words) < len(words)
 
 
 def test_is_balanced_stays_fast_on_long_words():

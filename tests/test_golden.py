@@ -1,8 +1,8 @@
 """Golden outputs: the decider's JSON and the wide-sense check, byte for byte.
 
 Each test hashes the output for every word of an exhaustive budget, in
-length-then-itertools.product order, and compares the SHA-256 with a recorded
-value. Any change to a verdict, a reject reason, a certificate field or a
+length-then-itertools.product order, or of the run-heavy families, and
+compares the SHA-256 with a recorded value. Any change to a verdict, a reject reason, a certificate field or a
 reported bad factor shows up here.
 """
 
@@ -45,3 +45,18 @@ def test_wide_sense_golden():
         r = wide_sense_check(w)
         lines.append(f"{w} {r.ok} {r.bad_factor}\n")
     assert _digest(lines) == "93427ae2ca41507fd1a050798057c184bb8288554be647b7d6c50ba95bf2b30c"
+
+
+def test_decider_json_golden_on_run_families():
+    # (a^k b)^3 a^k and a^(k+2) b a^k b in both letter roles, k = 1..200.
+    words = [
+        w
+        for k in range(1, 201)
+        for a, b in (("a", "b"), ("b", "a"))
+        for w in ((a * k + b) * 3 + a * k, a * (k + 2) + b + a * k + b)
+    ]
+    digest = _digest(
+        json.dumps(is_finite_episturmian(w).to_json_dict(), sort_keys=True) + "\n"
+        for w in words
+    )
+    assert digest == "0c5668391a4e68847e677ecbdd7013055bbb3fd1172c19c4d7dcd7f8cfa282c8"

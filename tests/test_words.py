@@ -20,9 +20,38 @@ from epiword import (
     min_factor,
     min_of,
     reversal,
+    validate_word,
 )
 
 words_abc = st.text(alphabet="abc", min_size=1, max_size=40)
+
+
+def _rejected(w):
+    with pytest.raises(InputError) as info:
+        validate_word(w)
+    assert str(info.value) == f"word must be lowercase a-z letters, got {w!r}"
+
+
+def test_validate_word_every_single_character():
+    for code in range(256):
+        c = chr(code)
+        if "a" <= c <= "z":
+            assert validate_word(c) == c
+        else:
+            _rejected(c)
+
+
+def test_validate_word_mixed_strings():
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    assert validate_word("") == ""
+    assert validate_word(letters * 3) == letters * 3
+    long = "ab" * 500_000
+    assert validate_word(long) is long
+    for bad in ("A", "\n", " ", "-", "é", "ß", "\u212a", "\x00", "0"):
+        for w in (bad, "ab" + bad, bad + "ab", "ab" + bad + "ba", letters + bad * 2):
+            _rejected(w)
+    _rejected(long + "\n")
+
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
