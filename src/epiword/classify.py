@@ -40,6 +40,9 @@ STABILITY_BUDGET = 2**16
 # A maximal run of one letter; words are validated to a-z.
 _RUN = re.compile("|".join(f"{c}+" for c in "abcdefghijklmnopqrstuvwxyz"))
 
+# The order a < b of the Sturmian test.
+_AB = Order("ab")
+
 
 class RejectReason(str, Enum):
     NO_SEPARATING_LETTER = "NoSeparatingLetter"
@@ -352,9 +355,8 @@ def sturmian_test(w: str) -> SturmianResult:
     validate_word(w)
     if alph(w) != {"a", "b"}:
         raise InputError("needs a binary word containing both a and b")
-    order = Order("ab")
-    mi = min_of(w, order)
-    ma = max_of(w, order)
+    mi = min_of(w, _AB)
+    ma = max_of(w, _AB)
     mt, xt = mi[1:], ma[1:]
     limit = 0
     while limit < len(mt) and limit < len(xt) and mt[limit] == xt[limit]:

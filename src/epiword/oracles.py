@@ -1,13 +1,17 @@
 """Independent brute-force references for validating the deciders.
 
 The membership oracle enumerates directive words outright and generates the
-words they direct; the balance oracle counts b in every window. Sweeps
-compare a decider against its oracle over every word up to a length budget.
+words they direct; directive enumeration records, at each closure step, only
+the windows outside the mirrored parent, since the rest are factors of the
+parent. The balance oracle counts b in every window, on the one-letter
+extensions of balanced words only. Sweeps compare a decider against its
+oracle over every word up to a length budget.
 """
 
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product
+from operator import sub
 
 from .classify import is_balanced, is_finite_episturmian
 from .generate import pal_closure
@@ -50,8 +54,12 @@ def discovery_table(letters, max_len: int) -> dict[str, int]:
     table: dict[str, int] = {}
 
     def visit(u: str, parent_len: int, depth: int):
+        # u is a palindrome with the palindrome u[:parent_len] as a prefix,
+        # so it also ends with it: a window inside either copy is a factor
+        # of the parent, already recorded at a smaller depth.
+        mirror = len(u) - parent_len
         for end in range(parent_len + 1, len(u) + 1):
-            for size in range(1, min(max_len, end) + 1):
+            for size in range(max(1, end - mirror + 1), min(max_len, end) + 1):
                 f = u[end - size : end]
                 old = table.get(f)
                 if old is None or depth < old:
@@ -67,26 +75,34 @@ def discovery_table(letters, max_len: int) -> dict[str, int]:
 
 def _balanced_by_windows(w: str) -> bool:
     """Balance by definition: same-length windows differ by <= 1 in b's."""
+    prefix = list(accumulate((c == "b" for c in w), initial=0))
     for n in range(1, len(w)):
-        count = w[:n].count("b")
-        lo = hi = count
-        for i in range(1, len(w) - n + 1):
-            count += (w[i + n - 1] == "b") - (w[i - 1] == "b")
-            lo = min(lo, count)
-            hi = max(hi, count)
-            if hi - lo > 1:
-                return False
+        counts = list(map(sub, prefix[n:], prefix))
+        if max(counts) - min(counts) > 1:
+            return False
     return True
 
 
+def _balanced_levels(max_len: int) -> list[set[str]]:
+    """The balanced binary words of each length 0..max_len.
+
+    Length n+1 keeps the words w·c, w balanced of length n, that pass the
+    window count: every window of w is a window of w·c, so an unbalanced
+    word has no balanced extension.
+    """
+    levels = [{""}]
+    for _ in range(max_len):
+        levels.append({w + c for w in levels[-1] for c in "ab" if _balanced_by_windows(w + c)})
+    return levels
+
+
 def enumerate_balanced(n: int) -> set[str]:
-    """All balanced binary words of length n, by filtering all 2^n words."""
+    """All balanced binary words of length n, by extending balanced words."""
     if n < 0:
         raise InputError("n must be non-negative")
     if n > 20:
         raise InputError(f"enumeration budget is n <= 20, got {n}")
-    words = ("".join(p) for p in product("ab", repeat=n))
-    return {w for w in words if _balanced_by_windows(w)}
+    return _balanced_levels(n)[n]
 
 
 @dataclass
@@ -144,21 +160,21 @@ def sweep(check: str, alphabet_size: int, max_len: int) -> SweepReport:
         )
     letters = "abc"[:alphabet_size]
 
-    if check == "episturmian":
-        decide = lambda w: is_finite_episturmian(w).accepted
-        if alphabet_size == 2:
-            reference = _balanced_by_windows
-        else:
-            reference = _episturmian_oracle_ternary(max_len)
-    elif check == "sturmian":
-        if alphabet_size != 2:
-            raise InputError("the sturmian check is binary only")
-        decide = is_balanced
-        reference = _balanced_by_windows
-    else:
+    if check not in ("episturmian", "sturmian"):
         raise InputError(f"unknown check {check!r}; expected episturmian or sturmian")
+    if check == "sturmian" and alphabet_size != 2:
+        raise InputError("the sturmian check is binary only")
 
     start = time.perf_counter()
+    if check == "episturmian":
+        decide = lambda w: is_finite_episturmian(w).accepted
+    else:
+        decide = is_balanced
+    if alphabet_size == 2:
+        balanced = _balanced_levels(max_len)
+        reference = lambda w: w in balanced[len(w)]
+    else:
+        reference = _episturmian_oracle_ternary(max_len)
     total = 0
     mismatches = []
     for n in range(1, max_len + 1):

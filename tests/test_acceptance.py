@@ -82,7 +82,7 @@ def test_criterion_03_sturmian_test_regression():
 
 
 def test_criterion_04_binary_sweep():
-    with criterion(4, "binary sweep n<=14 (decider = balance = min/max test)", budget=60.0):
+    with criterion(4, "binary sweep n<=14 (decider = balance = min/max test)", budget=20.0):
         episturmian = sweep("episturmian", 2, 14)
         assert episturmian.total_words == 2**15 - 2
         assert episturmian.mismatches == []
@@ -91,7 +91,7 @@ def test_criterion_04_binary_sweep():
 
 
 def test_criterion_05_ternary_sweep():
-    with criterion(5, "ternary sweep n<=8 vs directive enumeration", budget=300.0):
+    with criterion(5, "ternary sweep n<=8 vs directive enumeration", budget=30.0):
         report = sweep("episturmian", 3, 8)
         assert report.total_words == (3**9 - 3) // 2
         assert report.mismatches == []

@@ -1,4 +1,5 @@
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,9 +8,35 @@ from epiword import (
     discovery_table,
     enumerate_balanced,
     is_balanced,
+    is_finite_episturmian,
     oracle_is_finite_episturmian,
+    oracles,
+    pal_closure,
     sweep,
 )
+from epiword.oracles import _balanced_by_windows
+
+
+def _discovery_table_full_scan(letters, max_len):
+    # Reference: every window that ends past the parent, mirrored copy
+    # of the parent included.
+    letters = sorted(set(letters))
+    table = {}
+
+    def visit(u, parent_len, depth):
+        for end in range(parent_len + 1, len(u) + 1):
+            for size in range(1, min(max_len, end) + 1):
+                f = u[end - size : end]
+                old = table.get(f)
+                if old is None or depth < old:
+                    table[f] = depth
+        if depth < max_len:
+            for x in letters:
+                visit(pal_closure(u + x), len(u), depth + 1)
+
+    for x in letters:
+        visit(x, 0, 1)
+    return table
 
 
 def test_oracle_examples():
@@ -28,6 +55,11 @@ def test_no_factor_first_found_deeper_than_its_length(letters, max_len, checked)
     assert not late
 
 
+@pytest.mark.parametrize("letters, max_len", [("a", 6), ("ab", 12), ("abc", 8), ("abcd", 5)])
+def test_discovery_table_matches_full_scan(letters, max_len):
+    assert discovery_table(letters, max_len) == _discovery_table_full_scan(letters, max_len)
+
+
 def test_discovery_table_agrees_with_oracle():
     table = discovery_table("ab", 6)
     for n in range(1, 7):
@@ -44,6 +76,9 @@ def test_enumerate_balanced():
     four = enumerate_balanced(4)
     assert "aabb" not in four and "bbaa" not in four
     assert four == {w for w in ("".join(t) for t in product("ab", repeat=4)) if is_balanced(w)}
+    for n in range(15):
+        words = ("".join(t) for t in product("ab", repeat=n))
+        assert enumerate_balanced(n) == {w for w in words if _balanced_by_windows(w)}, n
     with pytest.raises(InputError):
         enumerate_balanced(21)
 
@@ -57,6 +92,32 @@ def test_sweep_small():
     report = sweep("episturmian", 3, 5)
     assert report.passed
     assert report.total_words == (3**6 - 3) // 2
+
+
+@pytest.mark.parametrize(
+    "check, alphabet_size, max_len, word",
+    [
+        ("episturmian", 2, 8, "aabb"),
+        ("episturmian", 2, 8, "abaab"),
+        ("sturmian", 2, 8, "abbaab"),
+        ("sturmian", 2, 8, "babaa"),
+        ("episturmian", 3, 5, "abcab"),
+        ("episturmian", 3, 5, "acbca"),
+    ],
+)
+def test_sweep_reports_a_wrong_decider(monkeypatch, check, alphabet_size, max_len, word):
+    # A decider that flips its verdict on one word must be caught by the
+    # oracle on exactly that word.
+    if check == "episturmian":
+        real = lambda w: is_finite_episturmian(w).accepted
+        flipped = lambda w: SimpleNamespace(accepted=real(w) != (w == word))
+        monkeypatch.setattr(oracles, "is_finite_episturmian", flipped)
+    else:
+        real = is_balanced
+        monkeypatch.setattr(oracles, "is_balanced", lambda w: real(w) != (w == word))
+    truth = real(word)
+    report = sweep(check, alphabet_size, max_len)
+    assert report.mismatches == [(word, not truth, truth)]
 
 
 def test_sweep_validation():
