@@ -8,8 +8,11 @@ and repeat, accepting once the word is a single letter off a power of
 another. A run step undoes psi_x^m at once, for the largest m over which x
 keeps its place and no word on the way is in base form, so one step costs
 O(runs) and the number of steps counts letter changes in the directive
-rather than letters. The certificate is built in the same pass: a single
-step from a word ending in x keeps the full reading when it is accepted.
+rather than letters. The certificate is built in the same pass: a word
+ending in x takes a single step by the full reading, which keeps its final
+run of x, when that reading is accepted, and the run step otherwise. The
+trimmed reading is accepted exactly when the word is, and the full reading
+extends it, so the pass accepts the same words as one that always trims.
 Acceptance yields a directive word embedding the input in a generated
 standard word, plus a witness prefix u for which a·u is lexicographically at
 most min(w) under every order on the alphabet. Balance is the paper's
@@ -48,7 +51,6 @@ class RejectReason(str, Enum):
     NO_SEPARATING_LETTER = "NoSeparatingLetter"
     REDUCTION_FAILED = "ReductionFailed"
     WITNESS_CHECK_FAILED = "WitnessCheckFailed"
-    NOT_BALANCED = "NotBalanced"
 
 
 @dataclass(frozen=True)
@@ -196,48 +198,38 @@ def _reduce(runs, certify: bool = False):
     """Undo psi_x^m in run steps until the word is in base form.
 
     Returns (reason, chain, runs): reason is None when the word is accepted,
-    chain holds the letters undone, one per single step, and runs is the
+    chain holds the letters undone, m of them per run step, and runs is the
     word reached. Without certify every step takes the trimmed reading: a
     final x of the word is a whole block, so dropping it from the reading is
     the same as reading the word without it, and as finite episturmian
     words are closed under factors and each extends to the right, that
-    reading alone decides the word. With certify a single step from a word
-    ending in x keeps the full reading when it is accepted, as the
-    certificate records, and the verdict comes out of the same pass.
+    reading alone decides the word. With certify a word ending in x takes a
+    single step by the full reading, which keeps the final run of x whole,
+    when that reading is accepted, and the run step otherwise. The verdict
+    stays exact: an accepted word leaves the trimmed path only for an
+    accepted reading, and a rejected word's full reading extends its
+    rejected trimmed one, so it follows the trimmed path to where no letter
+    parses. Once a full reading is rejected, so is the next one along the
+    run step, as it is the trimmed reading of the rejected one; the run
+    step therefore takes the single steps the certificate would.
     """
     chain = []
     reason = RejectReason.NO_SEPARATING_LETTER
-    settled = False
     while _base_form(runs) is None:
         step = _parse_letter(runs)
         if step is None:
             return reason, chain, runs
         reason = RejectReason.REDUCTION_FAILED
         x, parity = step
+        if certify and runs[0][-1] == x:
+            full = _strip(runs, parity, 1, keep_final=True)
+            if _reduce(full)[0] is None:
+                chain.append(x)
+                runs = full
+                continue
         m = _run_length(runs, x, parity)
-        letters, counts = runs
-        if not certify or letters[-1] != x:
-            chain.append(x * m)
-            runs = _strip(runs, parity, m)
-            continue
-        # A single step. The full reading keeps the final run of x whole.
-        # With that run shorter than m, the trimmed path from here loses it
-        # within x's run step and the full path, one x behind, joins it
-        # there, so full is accepted exactly when this word is. Otherwise
-        # full gets a verdict of its own once this word is settled as
-        # accepted: until then the path holds only words accepted exactly
-        # when the first one is, and a rejected word stops here.
-        full = _strip(runs, parity, 1, keep_final=True)
-        if counts[-1] >= m:
-            trimmed = _strip(runs, parity, 1)
-            if not settled:
-                if _reduce(trimmed)[0] is not None:
-                    return reason, chain, runs
-                settled = True
-            if _reduce(full)[0] is not None:
-                full = trimmed
-        chain.append(x)
-        runs = full
+        chain.append(x * m)
+        runs = _strip(runs, parity, m)
     return None, chain, runs
 
 

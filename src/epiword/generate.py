@@ -265,10 +265,6 @@ class EpiskewSpec:
         if self.suffix_index < 1:
             raise InputError("suffix_index must be positive")
 
-    @property
-    def is_strict(self) -> bool:
-        return self.inner_directive.is_strict
-
     @classmethod
     def from_json(cls, obj) -> "EpiskewSpec":
         if not isinstance(obj, dict):

@@ -43,6 +43,10 @@ def oracle_is_finite_episturmian(w: str) -> bool:
                 return True
         return False
 
+    # Deepening redoes the shallower levels on a rejected word, but one
+    # search at limit |w| dives deep down the first letters' branches before
+    # it tries a short directive: on the accepted baabacababac it makes
+    # 147 634 pal_closure calls against 246 for deepening.
     return any(search("", limit) for limit in range(1, len(w) + 1))
 
 

@@ -313,7 +313,9 @@ def test_run_heavy_words_stay_fast():
     # The verdict undoes each run of a in one run step, and the certificate
     # comes from the same pass. Re-deciding at every single step took 10 s
     # on the first word; stripping one letter per step is quadratic on the
-    # second.
+    # second. On the third, a step from a word ending in a keeps the full
+    # reading only when it is accepted and is a run step otherwise; walking
+    # the run of a one letter at a time took 2.3 s.
     k = 400
     start = time.perf_counter()
     verdict = is_finite_episturmian(("a" * k + "b") * 3 + "a" * k)
@@ -326,6 +328,11 @@ def test_run_heavy_words_stay_fast():
     elapsed = time.perf_counter() - start
     assert verdict.reason is RejectReason.REDUCTION_FAILED
     assert elapsed < 5.0, elapsed
+    start = time.perf_counter()
+    verdict = is_finite_episturmian("a" * (k + 2) + "b" + "a" * k + "b" + "a")
+    elapsed = time.perf_counter() - start
+    assert verdict.reason is RejectReason.REDUCTION_FAILED
+    assert elapsed < 1.0, elapsed
 
 
 def _single_step_base_form(w):

@@ -60,3 +60,24 @@ def test_decider_json_golden_on_run_families():
         for w in words
     )
     assert digest == "0c5668391a4e68847e677ecbdd7013055bbb3fd1172c19c4d7dcd7f8cfa282c8"
+
+
+def test_decider_json_golden_on_words_ending_past_a_run():
+    # (a^k b)^3 a, a^(k+2) b a^k b a and b a^(k+1) b a^k b a in both letter
+    # roles, k = 1..200: each ends in a lone letter after a long run.
+    words = [
+        w
+        for k in range(1, 201)
+        for a, b in (("a", "b"), ("b", "a"))
+        for w in (
+            (a * k + b) * 3 + a,
+            a * (k + 2) + b + a * k + b + a,
+            b + a * (k + 1) + b + a * k + b + a,
+        )
+    ]
+    assert len(words) == 1_200
+    digest = _digest(
+        json.dumps(is_finite_episturmian(w).to_json_dict(), sort_keys=True) + "\n"
+        for w in words
+    )
+    assert digest == "16ef1dfaeff1ad7b3879bdb1c43101d22acf7e89c4ee1909d1ebdd23f1b5df54"
