@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands: generate, minmax, test, witness, balanced, complexity, verify.
-Exit codes: 0 success/accept, 1 clean reject, 2 usage or input error,
-3 inconclusive (stability budget exceeded). Pass --json for stable
-machine-readable output (no timings there; wall time only in verify text
-mode).
+Exit codes: 0 success/accept, 1 clean reject, 2 usage or input error
+(including an input too large for the available memory), 3 inconclusive
+(stability budget exceeded). Pass --json for stable machine-readable output
+(no timings there; wall time only in verify text mode).
 """
 
 import argparse
@@ -280,6 +280,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: bad input ({exc})", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -117,50 +117,59 @@ def is_palindrome(w: str) -> bool:
     return w == w[::-1]
 
 
+# str.translate table sending rank i to rank MAX_ALPHABET - 1 - i: a rank
+# string read through it compares as the word does under the reversed order,
+# so each maximum is the minimum of the reflected key.
+_REFLECT = {i: MAX_ALPHABET - 1 - i for i in range(MAX_ALPHABET)}
+
+
+def _least_window_start(ranks: str, k: int) -> int:
+    # One window is held at a time; every occurrence of the least one starts
+    # an equal window, so the first is as good as any.
+    return ranks.find(min(ranks[i : i + k] for i in range(len(ranks) - k + 1)))
+
+
 def min_factor(w: str, k: int, order: Order) -> str:
     """The lexicographically smallest factor of w of length k."""
     if not 1 <= k <= len(w):
         raise InputError(f"k={k} out of range for |w|={len(w)}")
-    return min(factors(w, k), key=order.key)
+    start = _least_window_start(order.key(w), k)
+    return w[start : start + k]
 
 
 def max_factor(w: str, k: int, order: Order) -> str:
     """The lexicographically greatest factor of w of length k."""
     if not 1 <= k <= len(w):
         raise InputError(f"k={k} out of range for |w|={len(w)}")
-    return max(factors(w, k), key=order.key)
+    start = _least_window_start(order.key(w).translate(_REFLECT), k)
+    return w[start : start + k]
 
 
-def _extremal_of(w: str, order: Order, greatest: bool) -> str:
-    # Track the set P of start positions of the current extremal factor of
-    # length k. The extremal factor of length k+1 extends it as long as some
+def _least_suffix_start(ranks: str) -> int:
+    # Track the set P of start positions of the current least factor of
+    # length k. The least factor of length k+1 extends it as long as some
     # position in P still has a letter to its right; the chain stops exactly
-    # when P has shrunk to the suffix occurrence, which is then unioccurrent.
-    if not w:
+    # when P has shrunk to the suffix occurrence, which is then unioccurrent
+    # and is the least factor sought.
+    if not ranks:
         raise InputError("empty word has no extremal factor")
-    ranks = order.key(w)
-    n = len(w)
-    pick = max(ranks) if greatest else min(ranks)
+    pick = min(ranks)
     positions = [i for i, r in enumerate(ranks) if r == pick]
-    k = 1
-    while True:
-        extendable = [p for p in positions if p + k < n]
-        if not extendable:
-            break
+    k, n = 1, len(ranks)
+    while extendable := [p for p in positions if p + k < n]:
         nxt = [ranks[p + k] for p in extendable]
-        pick = max(nxt) if greatest else min(nxt)
+        pick = min(nxt)
         positions = [p for p, r in zip(extendable, nxt) if r == pick]
         k += 1
-    start = positions[0]
-    return w[start : start + k]
+    return positions[0]
 
 
 def min_of(w: str, order: Order) -> str:
     """min(w): the longest factor m such that every min(w|j), j <= |m|, is a
     prefix of m.  Always a suffix of w, occurring exactly once."""
-    return _extremal_of(w, order, greatest=False)
+    return w[_least_suffix_start(order.key(w)) :]
 
 
 def max_of(w: str, order: Order) -> str:
-    """max(w), dual to min_of."""
-    return _extremal_of(w, order, greatest=True)
+    """max(w), dual to min_of: the least suffix under the reversed order."""
+    return w[_least_suffix_start(order.key(w).translate(_REFLECT)) :]

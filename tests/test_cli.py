@@ -245,3 +245,16 @@ def test_inconclusive_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "test", "fine", "*abc", "--k", "12")
     assert code == 3
     assert "inconclusive" in err
+
+
+def test_out_of_memory_is_an_input_error(capsys, monkeypatch):
+    from epiword.generate import DirectiveSpec
+
+    def exhausted(self, n):
+        raise MemoryError
+
+    monkeypatch.setattr(DirectiveSpec, "prefix", exhausted)
+    code, out, err = run(capsys, "generate", "--directive", "*ab", "--length", "300000000")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"

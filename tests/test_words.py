@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from functools import cmp_to_key
 from itertools import product
 
@@ -168,10 +170,18 @@ def test_min_of_empty_word_rejected():
         min_of("", Order("ab"))
 
 
+def _min_factor_by_scan(w, k, order):
+    return min(factors(w, k), key=order.key)
+
+
+def _max_factor_by_scan(w, k, order):
+    return max(factors(w, k), key=order.key)
+
+
 def _extremal_by_definition(w, order, extremal_factor):
     # Literal reading: the largest k whose shorter extremal factors all stack
-    # up as prefixes of the length-k one (min_factor for min(w), max_factor
-    # for its dual max(w)).
+    # up as prefixes of the length-k one (the least factors for min(w), the
+    # greatest for its dual max(w)), each found by scanning the window set.
     extremes = [extremal_factor(w, k, order) for k in range(1, len(w) + 1)]
     valid = [
         k
@@ -185,8 +195,47 @@ def _extremal_by_definition(w, order, extremal_factor):
 @given(words_abc)
 def test_min_of_matches_definition(w):
     for order in all_orders(alph(w)):
-        assert min_of(w, order) == _extremal_by_definition(w, order, min_factor)
-        assert max_of(w, order) == _extremal_by_definition(w, order, max_factor)
+        assert min_of(w, order) == _extremal_by_definition(w, order, _min_factor_by_scan)
+        assert max_of(w, order) == _extremal_by_definition(w, order, _max_factor_by_scan)
+
+
+def test_extremes_match_scans_exhaustive():
+    # Every word of length 1-7 over abc (3 279 words), under every order on
+    # its letters (16 689 pairs); the fixed-length extremes at every k.
+    for n in range(1, 8):
+        for w in map("".join, product("abc", repeat=n)):
+            for order in all_orders(alph(w)):
+                assert min_of(w, order) == _extremal_by_definition(w, order, _min_factor_by_scan)
+                assert max_of(w, order) == _extremal_by_definition(w, order, _max_factor_by_scan)
+                for k in range(1, n + 1):
+                    assert min_factor(w, k, order) == _min_factor_by_scan(w, k, order)
+                    assert max_factor(w, k, order) == _max_factor_by_scan(w, k, order)
+
+
+def test_fixed_length_extremes_hold_one_window_at_a_time():
+    # A window set at k = 2 000 holds about 49 000 windows of 2 000 letters
+    # (about 100 MB); one window at a time stays far below the bound.
+    w = "".join(random.Random(0).choices("abcd", k=50_000))
+    order = Order("abcd")
+    tracemalloc.start()
+    try:
+        min_factor(w, 2_000, order)
+        max_factor(w, 2_000, order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def test_extremes_name_the_first_foreign_letter_under_the_given_order():
+    with pytest.raises(InputError, match="^letter 'd' outside alphabet 'ab'$"):
+        min_factor("dac", 1, Order("ab"))
+    with pytest.raises(InputError, match="^letter 'd' outside alphabet 'ab'$"):
+        max_factor("dac", 1, Order("ab"))
+    with pytest.raises(InputError, match="^letter 'c' outside alphabet 'ab'$"):
+        max_of("acd", Order("ab"))
+    with pytest.raises(InputError, match=r"^k=5 out of range for \|w\|=3$"):
+        max_factor("acd", 5, Order("ab"))
 
 
 @settings(max_examples=150)
