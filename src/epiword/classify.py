@@ -16,25 +16,28 @@ extends it, so the pass accepts the same words as one that always trims.
 Acceptance yields a directive word embedding the input in a generated
 standard word, plus a witness prefix u for which a·u is lexicographically at
 most min(w) under every order on the alphabet. Balance is the paper's
-lexicographic test on min(w) and max(w); oracles.py counts the windows.
+lexicographic test on min(w) and max(w), which reads the two extremes letter
+by letter, in lockstep, only until their tails disagree; oracles.py counts
+the windows.
 """
 
-import os
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 
 from .generate import DirectiveSpec, palindromic_walk
 from .words import (
+    _REFLECT,
     MAX_ALPHABET,
     InputError,
     InconclusiveError,
     Order,
+    _least_prefix_starts,
     all_orders,
     alph,
     factors,
     lex_le,
-    max_of,
     min_of,
     validate_word,
 )
@@ -343,20 +346,32 @@ def sturmian_test(w: str) -> SturmianResult:
     a·u·a a prefix of min(w) and b·u·b a prefix of max(w).
 
     Such a u is unique when it exists; the common-prefix trace of
-    a^{-1}min(w) and b^{-1}max(w) is reported either way.
+    a^{-1}min(w) and b^{-1}max(w) is reported either way. The verdict and
+    the trace depend on min(w) and max(w) only up to the first letter where
+    those tails differ or one ends, so both are read letter by letter and
+    neither is built beyond that point.
     """
     validate_word(w)
     if alph(w) != {"a", "b"}:
         raise InputError("needs a binary word containing both a and b")
-    mi = min_of(w, _AB)
-    ma = max_of(w, _AB)
-    mt, xt = mi[1:], ma[1:]
-    common = os.path.commonprefix((mt, xt))
-    limit = len(common)
-    after_min = mt[limit] if limit < len(mt) else None
-    after_max = xt[limit] if limit < len(xt) else None
-    # Below limit the two tails agree, so an a·u·a / b·u·b split can only
-    # come at limit itself, with u the whole common prefix.
+    ranks = _AB.key(w)
+    lo = _least_prefix_starts(ranks)
+    hi = _least_prefix_starts(ranks.translate(_REFLECT))
+    # The k-th letters of min(w) and max(w) are w[P[0] + k - 1] for the
+    # position lists P that lo and hi yield at step k; the first letters
+    # are a and b.
+    start = next(lo)[0]
+    next(hi)
+    for k in count(2):
+        mins, maxs = next(lo, None), next(hi, None)
+        after_min = w[mins[0] + k - 1] if mins else None
+        after_max = w[maxs[0] + k - 1] if maxs else None
+        if after_min is None or after_min != after_max:
+            break
+        start = mins[0]
+    common = w[start + 1 : start + k - 1]
+    # Below k the two tails agree, so an a·u·a / b·u·b split can only come
+    # at k itself, with u the whole common prefix.
     if after_min == "a" and after_max == "b":
         return SturmianResult(False, common, common, after_min, after_max)
     return SturmianResult(True, None, common, after_min, after_max)

@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 import time
@@ -15,6 +16,7 @@ from epiword import (
     InputError,
     Order,
     RejectReason,
+    SturmianResult,
     Verdict,
     WideSenseResult,
     all_orders,
@@ -219,6 +221,49 @@ def test_sturmian_test_witness_is_genuine():
             if r.u is not None:
                 assert min_of(w, order).startswith("a" + r.u + "a"), w
                 assert max_of(w, order).startswith("b" + r.u + "b"), w
+
+
+def _sturmian_by_extremes(w):
+    # The formula on the full extremes: min(w), max(w), their common prefix.
+    order = Order("ab")
+    mt, xt = min_of(w, order)[1:], max_of(w, order)[1:]
+    common = os.path.commonprefix((mt, xt))
+    after_min = mt[len(common)] if len(common) < len(mt) else None
+    after_max = xt[len(common)] if len(common) < len(xt) else None
+    if after_min == "a" and after_max == "b":
+        return SturmianResult(False, common, common, after_min, after_max)
+    return SturmianResult(True, None, common, after_min, after_max)
+
+
+def test_sturmian_test_matches_full_extremes_exhaustive():
+    count = 0
+    for n in range(2, 15):
+        for tup in product("ab", repeat=n):
+            w = "".join(tup)
+            if len(alph(w)) == 2:
+                assert sturmian_test(w) == _sturmian_by_extremes(w), w
+                count += 1
+    assert count == 32738
+
+
+def test_sturmian_test_matches_full_extremes_on_long_words():
+    rng = random.Random(12)
+    flip = {"a": "b", "b": "a"}
+    words = []
+    for _ in range(100):
+        n = rng.randint(2, 600)
+        words.append("".join(rng.choice("ab") for _ in range(n)))
+        directive = "".join(rng.choice("ab") for _ in range(rng.randint(1, 12)))
+        standard = DirectiveSpec(directive, "ab").prefix(n)
+        i = rng.randrange(n)
+        words += [standard, standard[:i] + flip[standard[i]] + standard[i + 1 :]]
+        x, y = rng.sample("ab", 2)
+        words.append(
+            "".join(x * rng.randint(1, 150) + y * rng.randint(1, 3) for _ in range(4))
+        )
+    assert len(words) == 400 and max(map(len, words)) <= 600
+    for w in words:
+        assert sturmian_test(w) == _sturmian_by_extremes(w), w
 
 
 def test_binary_equivalence_exhaustive():
@@ -436,8 +481,18 @@ def test_is_balanced_stays_fast_on_long_words():
     fibonacci = DirectiveSpec("", "ab").prefix(10**4)
     directed = DirectiveSpec("".join(rng.choice("ab") for _ in range(60))).prefix(10**4)
     flipped = fibonacci[:5000] + {"a": "b", "b": "a"}[fibonacci[5000]] + fibonacci[5001:]
-    for w, expected in ((fibonacci, True), (directed, True), (flipped, False)):
-        assert len(w) == 10**4 and alph(w) == {"a", "b"}
+    # Building min(w) and max(w) in full is quadratic on the last three,
+    # which took seconds that way; their tails disagree within two letters.
+    cases = (
+        (fibonacci, True),
+        (directed, True),
+        (flipped, False),
+        ("bb" + "a" * 10**4, False),
+        ("a" * 10**4 + "bb", False),
+        ("ab" * 5000 + "a", True),
+    )
+    for w, expected in cases:
+        assert len(w) >= 10**4 and alph(w) == {"a", "b"}
         start = time.perf_counter()
         assert is_balanced(w) is expected
         elapsed = time.perf_counter() - start

@@ -223,10 +223,15 @@ def test_output_independent_of_hash_seed():
     import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    # The subprocess does not see pytest's pythonpath setting, so it gets
+    # the checkout's src on PYTHONPATH and runs from an uninstalled tree.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     outs = set()
     for seed in ("0", "1", "99"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "epiword", "test", "episturmian", "baabacababac", "--json"],
             capture_output=True,
