@@ -5,20 +5,22 @@ The membership decider works by de-substitution on the run-length form of
 the word, in one iterative pass with no cache: undo psi_x for the least
 letter x whose inverse block parse succeeds (the least separating letter)
 and repeat, accepting once the word is a single letter off a power of
-another. A run step undoes psi_x^m at once, for the largest m over which x
-keeps its place and no word on the way is in base form, so one step costs
-O(runs) and the number of steps counts letter changes in the directive
-rather than letters. The certificate is built in the same pass: a word
-ending in x takes a single step by the full reading, which keeps its final
-run of x, when that reading is accepted, and the run step otherwise. The
-trimmed reading is accepted exactly when the word is, and the full reading
-extends it, so the pass accepts the same words as one that always trims.
-Acceptance yields a directive word embedding the input in a generated
-standard word, plus a witness prefix u for which a·u is lexicographically at
-most min(w) under every order on the alphabet. Balance is the paper's
-lexicographic test on min(w) and max(w), which reads the two extremes letter
-by letter, in lockstep, only until their tails disagree; oracles.py counts
-the windows.
+another. A run step undoes psi_x^m at once, m being one less than the
+shortest interior run of x (at least 1): while every interior run of x is
+at least 2 long, no other letter parses and the word is not in base form.
+So one step costs O(runs) and the number of steps counts letter changes in
+the directive rather than letters. The certificate is built in the same
+pass: a word ending in x takes a single step by the full reading, which
+keeps its final run of x, when that reading is accepted, and the run step
+otherwise. The trimmed reading is accepted exactly when the word is, and
+the full reading extends it, so the pass accepts the same words as one
+that always trims. Acceptance yields a directive word, read off the base
+form the pass stops at, embedding the input in a generated standard word,
+plus a witness prefix u for which a·u is lexicographically at most min(w)
+under every order on the alphabet. Balance is the paper's lexicographic
+test on min(w) and max(w), which reads the two extremes letter by letter,
+in lockstep, only until their tails disagree; oracles.py counts the
+windows.
 """
 
 import re
@@ -147,29 +149,20 @@ def _parse_letter(runs):
 
 def _run_length(runs, x: str, parity: int) -> int:
     """The number m of single trimmed psi_x steps that follow one another
-    from the word: over the first m of them every interior run of x stays
-    at least 1, no word reached is in base form, and x stays the least
-    letter whose parse succeeds.
+    from the word: one less than its shortest interior run of x, and at
+    least 1, as the word itself qualifies.
 
     A step takes one letter off every run of x; the first and final runs
-    may run out. Another letter y can only be reached in base form or start
-    to parse when it is the only other letter: y x^I y is in base form once
-    I = 1 and both outer runs are gone, and y's parse succeeds once every
-    run of x is 1 long. m is at least 1, as the word itself qualifies.
+    may run out. While every interior run of x is at least 2 long, no other
+    letter can parse and the word cannot be in base form, so every word
+    reached before the m-th step takes the next single step with x.
     """
     letters, counts = runs
     xs = counts[parity::2]
-    lead = xs[0] if parity == 0 else 0
-    trail = xs[-1] if letters[-1] == x else 0
-    interior = xs[1 if lead else 0 : len(xs) - (1 if trail else 0)]
-    m = min(interior)
-    others = letters[1 - parity :: 2]
-    if others.count(others[0]) == len(others):
-        if others[0] < x:
-            m = min(m, max(xs) - 1)
-        if len(others) == 2 and max(lead, trail) < interior[0]:
-            m = min(m, interior[0] - 1)
-    return m
+    # The first run is one of x exactly when parity is 0. A word that is
+    # not in base form and parses with x has an interior run of x.
+    interior = xs[1 - parity : len(xs) - (letters[-1] == x)]
+    return max(1, min(interior) - 1)
 
 
 def _strip(runs, parity: int, m: int, keep_final: bool = False):
@@ -201,28 +194,31 @@ def _strip(runs, parity: int, m: int, keep_final: bool = False):
 def _reduce(runs, certify: bool = False):
     """Undo psi_x^m in run steps until the word is in base form.
 
-    Returns (reason, chain, runs): reason is None when the word is accepted,
-    chain holds the letters undone, m of them per run step, and runs is the
-    word reached. Without certify every step takes the trimmed reading: a
-    final x of the word is a whole block, so dropping it from the reading is
-    the same as reading the word without it, and as finite episturmian
-    words are closed under factors and each extends to the right, that
-    reading alone decides the word. With certify a word ending in x takes a
-    single step by the full reading, which keeps the final run of x whole,
-    when that reading is accepted, and the run step otherwise. The verdict
-    stays exact: an accepted word leaves the trimmed path only for an
-    accepted reading, and a rejected word's full reading extends its
-    rejected trimmed one, so it follows the trimmed path to where no letter
-    parses. Once a full reading is rejected, so is the next one along the
-    run step, as it is the trimmed reading of the rejected one; the run
-    step therefore takes the single steps the certificate would.
+    A run step takes m single steps at once, m being one less than the
+    shortest interior run of x and at least 1 (_run_length). Returns
+    (reason, chain, base): reason is None when the word is accepted, chain
+    holds the letters undone, m of them per run step, and base is the base
+    form (x, y, p, q) the word reached, None on rejection. Without certify
+    every step takes the trimmed reading: a final x of the word is a whole
+    block, so dropping it from the reading is the same as reading the word
+    without it, and as finite episturmian words are closed under factors
+    and each extends to the right, that reading alone decides the word.
+    With certify a word ending in x takes a single step by the full
+    reading, which keeps the final run of x whole, when that reading is
+    accepted, and the run step otherwise. The verdict stays exact: an
+    accepted word leaves the trimmed path only for an accepted reading, and
+    a rejected word's full reading extends its rejected trimmed one, so it
+    follows the trimmed path to where no letter parses. Once a full reading
+    is rejected, so is the next one along the run step, as it is the
+    trimmed reading of the rejected one; the run step therefore takes the
+    single steps the certificate would.
     """
     chain = []
     reason = RejectReason.NO_SEPARATING_LETTER
-    while _base_form(runs) is None:
+    while (base := _base_form(runs)) is None:
         step = _parse_letter(runs)
         if step is None:
-            return reason, chain, runs
+            return reason, chain, None
         reason = RejectReason.REDUCTION_FAILED
         x, parity = step
         if certify and runs[0][-1] == x:
@@ -234,7 +230,7 @@ def _reduce(runs, certify: bool = False):
         m = _run_length(runs, x, parity)
         chain.append(x * m)
         runs = _strip(runs, parity, m)
-    return None, chain, runs
+    return None, chain, base
 
 
 def _reject_reason(w: str) -> RejectReason | None:
@@ -242,22 +238,20 @@ def _reject_reason(w: str) -> RejectReason | None:
     return _reduce(_runs(w))[0]
 
 
-def _certificate(w: str, chain: list[str], runs) -> Certificate:
-    x, y, p, q = _base_form(runs)
+def _certificate(w: str, chain: list[str], base) -> Certificate:
+    x, y, p, q = base
     tail = x * p if y is None else x * max(p, q) + y
     directive = DirectiveSpec("".join(chain) + tail, x)
-    # The prefixes are nested: the first holding w fixes occurrence and
-    # witness, and w does not lie within the prefix before it.
-    prev = ""
+    # The prefixes are nested, so every one that holds w holds it first at
+    # the same place and starts with the same |w| letters: the last one,
+    # which holds w, gives occurrence and witness.
     for generated in palindromic_walk(directive.preperiod):
-        occurrence = generated.find(w, max(0, len(prev) - len(w) + 1))
-        if occurrence >= 0:
-            break
-        prev = generated
+        pass
+    occurrence = generated.find(w)
     assert occurrence >= 0, f"embedding lost {w!r} under directive {directive}"
     return Certificate(
         reduction_letters="".join(chain),
-        base_word="".join(c * k for c, k in zip(*runs)),
+        base_word=x * p + (y or "") + x * q,
         embedding_directive=directive,
         occurrence_index=occurrence,
         witness_u=generated[: len(w)],
@@ -277,10 +271,10 @@ def is_finite_episturmian(w: str) -> Verdict:
         raise InputError("empty word")
     if len(alph(w)) > MAX_ALPHABET:
         raise InputError(f"alphabet larger than {MAX_ALPHABET}")
-    reason, chain, runs = _reduce(_runs(w), certify=True)
+    reason, chain, base = _reduce(_runs(w), certify=True)
     if reason is not None:
         return Verdict(False, None, reason)
-    cert = _certificate(w, chain, runs)
+    cert = _certificate(w, chain, base)
     if not check_witness(w, cert.witness_u):
         return Verdict(False, None, RejectReason.WITNESS_CHECK_FAILED)
     return Verdict(True, cert, None)

@@ -227,10 +227,10 @@ class EventuallyPeriodicSpec:
 
     def prefix(self, n: int) -> str:
         """First n letters of the preperiod followed by the period forever."""
-        out = self.preperiod
-        while len(out) < n:
-            out += self.period
-        return out[:n]
+        # Just enough copies of the period: ceil((n - |u|) / |v|), none when
+        # the preperiod alone is long enough.
+        reps = max(0, -((len(self.preperiod) - n) // len(self.period)))
+        return (self.preperiod + self.period * reps)[:n]
 
 
 @dataclass(frozen=True)

@@ -355,12 +355,13 @@ def test_wide_sense_and_deep_reject_stay_bounded():
 
 
 def test_run_heavy_words_stay_fast():
-    # The verdict undoes each run of a in one run step, and the certificate
-    # comes from the same pass. Re-deciding at every single step took 10 s
-    # on the first word; stripping one letter per step is quadratic on the
-    # second. On the third, a step from a word ending in a keeps the full
-    # reading only when it is accepted and is a run step otherwise; walking
-    # the run of a one letter at a time took 2.3 s.
+    # A run step undoes psi_a up to one letter short of emptying the
+    # shortest interior run of a, and the next step takes that letter; the
+    # certificate comes from the same pass. Re-deciding at every single
+    # step took 10 s on the first word; stripping one letter per step is
+    # quadratic on the second. On the third, a step from a word ending in a
+    # keeps the full reading only when it is accepted and is a run step
+    # otherwise; walking the run of a one letter at a time took 2.3 s.
     k = 400
     start = time.perf_counter()
     verdict = is_finite_episturmian(("a" * k + "b") * 3 + "a" * k)
@@ -473,6 +474,31 @@ def test_run_steps_match_single_steps_on_psi_images():
         words += [w, w[i : i + rng.randint(1, 60)]]
     # Both verdicts occur: 659 of the 800 words are accepted.
     assert 0 < _assert_same_verdicts(words) < len(words)
+
+
+def test_run_steps_match_single_steps_on_standard_factors():
+    # Factors of standard words directed by chains of random permutations.
+    # The decider reads its certificate off the last palindromic prefix of
+    # the embedding, the reference off the first that holds the word.
+    rng = random.Random(29)
+    words = []
+    for _ in range(300):
+        letters = "abcd"[: rng.randint(2, 4)]
+        chain = "".join("".join(rng.sample(letters, len(letters))) for _ in range(8))
+        n = rng.randint(2, 80)
+        t = DirectiveSpec("", chain).prefix(3 * n)
+        i = rng.randrange(2 * n)
+        words.append(t[i : i + n])
+    assert _assert_same_verdicts(words) == len(words)
+    early = 0
+    for w in words:
+        directive = is_finite_episturmian(w).certificate.embedding_directive
+        # The prefixes are nested: w lies in the one before the last
+        # exactly when the first that holds it is not the last.
+        early += w in list(palindromic_walk(directive.preperiod))[-2]
+    # The first prefix that holds the word comes before the last one for
+    # 90 of the 300 words.
+    assert early > 0
 
 
 def test_is_balanced_stays_fast_on_long_words():

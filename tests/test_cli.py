@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -219,28 +224,41 @@ def test_words_from_stdin(capsys, monkeypatch):
     assert lines[1] == "not balanced: u=aba"
 
 
-def test_output_independent_of_hash_seed():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
+def _run_checkout(*argv, **env):
     # The subprocess does not see pytest's pythonpath setting, so it gets
     # the checkout's src on PYTHONPATH and runs from an uninstalled tree.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "epiword", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path, **env),
+    )
+
+
+def test_output_independent_of_hash_seed():
     outs = set()
     for seed in ("0", "1", "99"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-m", "epiword", "test", "episturmian", "baabacababac", "--json"],
-            capture_output=True,
-            text=True,
-            env=env,
+        proc = _run_checkout(
+            "test", "episturmian", "baabacababac", "--json", PYTHONHASHSEED=seed
         )
         assert proc.returncode == 0
         outs.add(proc.stdout)
     assert len(outs) == 1
+
+
+def test_long_skew_prefix_stays_fast():
+    # Appending the period one copy at a time took 5.4-6 s at this length
+    # (2-vCPU VM, Python 3.11.7).
+    # A fresh interpreter times the call: in one that has run other tests,
+    # the cost of growing a string in place depends on the heap.
+    start = time.perf_counter()
+    proc = _run_checkout("generate", "--skew", "b,a", "--length", "400000")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0
+    assert proc.stdout == "b" + "a" * 399_999 + "\n"
+    assert elapsed < 2.0, elapsed
 
 
 def test_inconclusive_exit_code(capsys, monkeypatch):

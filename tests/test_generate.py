@@ -279,3 +279,17 @@ def test_eventually_periodic_prefix():
     assert EventuallyPeriodicSpec("aab", "ab").prefix(7) == "aababab"
     with pytest.raises(InputError):
         EventuallyPeriodicSpec("a", "").prefix(3)
+
+
+def _prefix_by_appending(u, v, n):
+    # The reference: the period appended one copy at a time.
+    out = u
+    while len(out) < n:
+        out += v
+    return out[:n]
+
+
+def test_eventually_periodic_prefix_matches_appending():
+    for u, v, n in product(("", "a", "ba", "abc"), ("a", "ab", "bca"), range(-2, 12)):
+        expected = _prefix_by_appending(u, v, n)
+        assert EventuallyPeriodicSpec(u, v).prefix(n) == expected, (u, v, n)
