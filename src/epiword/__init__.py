@@ -12,7 +12,6 @@ from .words import (
     alphabetical,
     factor_complexity,
     factors,
-    is_palindrome,
     lex_le,
     max_factor,
     max_of,
@@ -27,9 +26,7 @@ from .generate import (
     EventuallyPeriodicSpec,
     MechanicalSpec,
     apply_morphism,
-    h_words,
     pal_closure,
-    palindromic_prefixes,
     psi,
     psi_inverse,
     standard_prefix,
@@ -53,7 +50,6 @@ from .classify import (
 from .oracles import (
     SweepReport,
     discovery_table,
-    enumerate_balanced,
     oracle_is_finite_episturmian,
     sweep,
 )

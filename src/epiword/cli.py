@@ -84,11 +84,20 @@ def _parse_skew(text: str) -> EventuallyPeriodicSpec:
     return EventuallyPeriodicSpec(head, cycle)
 
 
+def _parse_episkew(text: str) -> EpiskewSpec:
+    # The JSON parser and the repr in from_json's messages recurse once per
+    # nesting level, so a deep enough input ends in RecursionError.
+    try:
+        return EpiskewSpec.from_json(json.loads(text))
+    except RecursionError as exc:
+        raise InputError("episkew spec is nested too deeply") from exc
+
+
 def _parse_source(text: str):
     """A prefix source from compact text: episkew JSON, skew U,V pair, or
     directive form PRE*PERIOD."""
     if text.lstrip().startswith("{"):
-        return EpiskewSpec.from_json(json.loads(text))
+        return _parse_episkew(text)
     if "," in text:
         return _parse_skew(text)
     return DirectiveSpec.from_text(text)
@@ -103,7 +112,7 @@ def _cmd_generate(args) -> int:
     elif args.mechanical is not None:
         source = _parse_mechanical(args.mechanical, args.ceiling)
     elif args.episkew is not None:
-        source = EpiskewSpec.from_json(json.loads(args.episkew))
+        source = _parse_episkew(args.episkew)
     else:
         source = _parse_skew(args.skew)
     word = source.prefix(n)

@@ -10,7 +10,6 @@ construction, is off that path and serves the oracles as a reference.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import ceil, floor
 
 from .words import (
@@ -138,16 +137,6 @@ def palindromic_walk(letters):
         yield u
 
 
-def palindromic_prefixes(d: DirectiveSpec, count: int) -> list[str]:
-    """The nested palindromic prefixes u(1)=empty, u(2), ..., u(count)."""
-    us = list(islice(palindromic_walk(d.letters()), max(count, 1)))
-    if len(us) < count:
-        raise InsufficientDirectiveError(
-            f"directive {d} has only {len(us) - 1} letters, need {count - 1}"
-        )
-    return us
-
-
 def standard_prefix(d: DirectiveSpec, min_len: int) -> str:
     """The first palindromic prefix of the directed word with length >= min_len.
 
@@ -159,18 +148,6 @@ def standard_prefix(d: DirectiveSpec, min_len: int) -> str:
     raise InsufficientDirectiveError(
         f"directive {d} exhausted at length {len(u)}, need {min_len}"
     )
-
-
-def h_words(d: DirectiveSpec, n: int) -> list[str]:
-    """The prefixes h(i) = mu(i)(x(i+1)) for i = 0..n-1.
-
-    mu(i) composes psi over the first i directive letters; the product
-    h(n-2)···h(1)h(0) rebuilds the palindromic prefix u(n).
-    """
-    xs = "".join(islice(d.letters(), max(n, 0)))
-    if len(xs) < n:
-        raise InsufficientDirectiveError(f"directive {d} has fewer than {n} letters")
-    return [apply_morphism(xs[:i], xs[i]) for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -186,21 +163,6 @@ class MechanicalSpec:
             raise InputError("alpha and rho must lie in [0, 1]")
         if self.variant not in ("floor", "ceiling"):
             raise InputError(f"variant must be floor or ceiling: {self.variant!r}")
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MechanicalSpec":
-        return cls(
-            alpha=Fraction(obj["alpha"]),
-            rho=Fraction(obj["rho"]),
-            variant=obj.get("variant", "floor"),
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": str(self.alpha),
-            "rho": str(self.rho),
-            "variant": self.variant,
-        }
 
     def prefix(self, n: int) -> str:
         """First n letters: 'a' where the floor (or ceiling) difference is 0."""
@@ -286,15 +248,6 @@ class EpiskewSpec:
             if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
                 raise InputError(f"episkew p and suffix_index must be integers, got {value!r}")
         return cls(texts["mu"], texts["excluded_letter"], inner, p, suffix_index)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "excluded_letter": self.excluded_letter,
-            "inner_directive": self.inner_directive.text(),
-            "p": int(self.p),
-            "suffix_index": int(self.suffix_index),
-        }
 
     def head(self) -> str:
         """The chosen non-empty suffix v; always ends with excluded_letter."""

@@ -100,15 +100,6 @@ def _balanced_levels(max_len: int) -> list[set[str]]:
     return levels
 
 
-def enumerate_balanced(n: int) -> set[str]:
-    """All balanced binary words of length n, by extending balanced words."""
-    if n < 0:
-        raise InputError("n must be non-negative")
-    if n > 20:
-        raise InputError(f"enumeration budget is n <= 20, got {n}")
-    return _balanced_levels(n)[n]
-
-
 @dataclass
 class SweepReport:
     check: str
@@ -135,7 +126,7 @@ class SweepReport:
         }
 
 
-def _episturmian_oracle_ternary(max_len: int):
+def _episturmian_oracle_by_alphabet(max_len: int):
     # One discovery table per word alphabet keeps the per-word contract
     # (directives over Alph(w) only) while sharing the enumeration. A factor
     # counts as found when its first discovery depth is within the per-word
@@ -178,7 +169,7 @@ def sweep(check: str, alphabet_size: int, max_len: int) -> SweepReport:
         balanced = _balanced_levels(max_len)
         reference = lambda w: w in balanced[len(w)]
     else:
-        reference = _episturmian_oracle_ternary(max_len)
+        reference = _episturmian_oracle_by_alphabet(max_len)
     total = 0
     mismatches = []
     for n in range(1, max_len + 1):

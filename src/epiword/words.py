@@ -113,10 +113,6 @@ def reversal(w: str) -> str:
     return w[::-1]
 
 
-def is_palindrome(w: str) -> bool:
-    return w == w[::-1]
-
-
 # str.translate table sending rank i to rank MAX_ALPHABET - 1 - i: a rank
 # string read through it compares as the word does under the reversed order,
 # so each maximum is the minimum of the reflected key.

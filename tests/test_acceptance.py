@@ -19,9 +19,7 @@ from epiword import (
     check_witness,
     factor_complexity,
     find_witness,
-    h_words,
     min_of,
-    palindromic_prefixes,
     psi,
     reversal,
     standard_prefix,
@@ -29,6 +27,7 @@ from epiword import (
     sweep,
     wide_sense_check,
 )
+from references import h_words, palindromic_prefixes
 
 
 @contextmanager

@@ -40,7 +40,7 @@ from epiword import (
     wide_sense_check,
 )
 from epiword.generate import palindromic_walk
-from epiword.oracles import _balanced_by_windows
+from epiword.oracles import _balanced_by_windows, _episturmian_oracle_by_alphabet
 
 
 def test_separating_letters():
@@ -285,6 +285,54 @@ def test_ternary_matches_oracle_exhaustive():
                 is_finite_episturmian(w).accepted
                 == oracle_is_finite_episturmian(w)
             ), w
+
+
+
+@pytest.mark.parametrize(
+    "letters, max_len, accepted", [("abcd", 8, 4220), ("abcde", 6, 2890)]
+)
+def test_decider_matches_discovery_table_past_three_letters(letters, max_len, accepted):
+    # The ternary sweep's reference, one discovery table per word alphabet,
+    # on every word over four letters up to n = 8 and five up to n = 6.
+    reference = _episturmian_oracle_by_alphabet(max_len)
+    count = 0
+    for n in range(1, max_len + 1):
+        for tup in product(letters, repeat=n):
+            w = "".join(tup)
+            expected = reference(w)
+            assert is_finite_episturmian(w).accepted == expected, w
+            count += expected
+    assert count == accepted
+
+
+def test_long_binary_words_match_balance():
+    # Binary finite episturmian words are the balanced ones, well past the
+    # exhaustive sweep's n = 14: factors of Fibonacci with up to two letters
+    # flipped, and factors of random standard words.
+    rng = random.Random(10)
+    fibonacci = DirectiveSpec("", "ab").prefix(2000)
+    words = []
+    for _ in range(125):
+        n = rng.randint(1, 800)
+        i = rng.randrange(len(fibonacci) - n)
+        w = list(fibonacci[i : i + n])
+        for j in rng.sample(range(n), min(n, rng.randint(0, 2))):
+            w[j] = "b" if w[j] == "a" else "a"
+        words.append("".join(w))
+    for _ in range(125):
+        pre = "".join(rng.choice("ab") for _ in range(rng.randint(0, 6)))
+        per = "".join(rng.choice("ab") for _ in range(rng.randint(1, 4)))
+        n = rng.randint(1, 800)
+        t = DirectiveSpec(pre, per).prefix(2 * n)
+        i = rng.randrange(n)
+        words.append(t[i : i + n])
+    balanced = 0
+    for w in words:
+        expected = _balanced_by_windows(w)
+        assert is_finite_episturmian(w).accepted == is_balanced(w) == expected, w
+        balanced += expected
+    # 162 of the 250 words are balanced.
+    assert 0 < balanced < len(words), balanced
 
 
 @settings(max_examples=200, deadline=None)

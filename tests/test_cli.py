@@ -248,6 +248,25 @@ def test_output_independent_of_hash_seed():
     assert len(outs) == 1
 
 
+
+@pytest.mark.parametrize("depth", [1000, 10**5])
+def test_deeply_nested_episkew_json_is_input_error(depth):
+    # The JSON parser recurses once per level; past the recursion limit the
+    # spec is an input error, not a RecursionError traceback. Python 3.12
+    # and later parse depth 1 000 and end it as a decode error instead.
+    text = '{"a": ' + "[" * depth
+    for argv in (
+        ["generate", "--episkew", text, "--length", "5"],
+        ["test", "fine", text, "--k", "3"],
+        ["complexity", text, "--max-n", "3"],
+    ):
+        proc = _run_checkout(*argv)
+        assert proc.returncode == 2, argv[0]
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
 def test_long_skew_prefix_stays_fast():
     # Appending the period one copy at a time took 5.4-6 s at this length
     # (2-vCPU VM, Python 3.11.7).

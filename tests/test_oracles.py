@@ -6,7 +6,6 @@ import pytest
 from epiword import (
     InputError,
     discovery_table,
-    enumerate_balanced,
     is_balanced,
     is_finite_episturmian,
     oracle_is_finite_episturmian,
@@ -14,7 +13,7 @@ from epiword import (
     pal_closure,
     sweep,
 )
-from epiword.oracles import _balanced_by_windows
+from epiword.oracles import _balanced_by_windows, _balanced_levels
 
 
 def _discovery_table_full_scan(letters, max_len):
@@ -70,17 +69,18 @@ def test_discovery_table_agrees_with_oracle():
             assert (found is not None and found <= n) == expected, w
 
 
-def test_enumerate_balanced():
-    assert enumerate_balanced(1) == {"a", "b"}
-    assert enumerate_balanced(2) == {"aa", "ab", "ba", "bb"}
-    four = enumerate_balanced(4)
+def test_balanced_levels():
+    # The binary sweeps' reference: level n holds the balanced words of
+    # length n.
+    levels = _balanced_levels(14)
+    assert levels[1] == {"a", "b"}
+    assert levels[2] == {"aa", "ab", "ba", "bb"}
+    four = levels[4]
     assert "aabb" not in four and "bbaa" not in four
     assert four == {w for w in ("".join(t) for t in product("ab", repeat=4)) if is_balanced(w)}
     for n in range(15):
         words = ("".join(t) for t in product("ab", repeat=n))
-        assert enumerate_balanced(n) == {w for w in words if _balanced_by_windows(w)}, n
-    with pytest.raises(InputError):
-        enumerate_balanced(21)
+        assert levels[n] == {w for w in words if _balanced_by_windows(w)}, n
 
 
 def test_sweep_small():
