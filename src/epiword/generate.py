@@ -230,7 +230,7 @@ class EpiskewSpec:
     @classmethod
     def from_json(cls, obj) -> "EpiskewSpec":
         if not isinstance(obj, dict):
-            raise InputError(f"episkew spec must be a JSON object, got {obj!r}")
+            raise InputError(f"episkew spec must be a JSON object, got {type(obj).__name__}")
         texts = {
             "mu": obj.get("mu", ""),
             "excluded_letter": obj["excluded_letter"],
@@ -238,7 +238,9 @@ class EpiskewSpec:
         }
         for name, value in texts.items():
             if not isinstance(value, str):
-                raise InputError(f"episkew {name} must be a string, got {value!r}")
+                raise InputError(
+                    f"episkew {name} must be a string, got {type(value).__name__}"
+                )
         inner = DirectiveSpec.from_text(texts["inner_directive"])
         try:
             p, suffix_index = int(obj.get("p", 0)), int(obj["suffix_index"])

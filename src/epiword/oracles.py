@@ -5,7 +5,9 @@ words they direct; directive enumeration records, at each closure step, only
 the windows outside the mirrored parent, since the rest are factors of the
 parent. The balance oracle counts b in every window, on the one-letter
 extensions of balanced words only. Sweeps compare a decider against its
-oracle over every word up to a length budget.
+oracle over every word up to a length budget. The certificate checker
+rebuilds an accepted word's embedding with pal_closure and checks its
+witness order by order, with an Order, a min_of and a lex_le per order.
 """
 
 import time
@@ -13,9 +15,17 @@ from dataclasses import dataclass, field
 from itertools import accumulate, product
 from operator import sub
 
-from .classify import is_balanced, is_finite_episturmian
+from .classify import Certificate, is_balanced, is_finite_episturmian
 from .generate import pal_closure
-from .words import InputError, alph, validate_word
+from .words import (
+    MAX_ALPHABET,
+    InputError,
+    all_orders,
+    alph,
+    lex_le,
+    min_of,
+    validate_word,
+)
 
 _SWEEP_BUDGET = {2: 14, 3: 8}
 
@@ -48,6 +58,50 @@ def oracle_is_finite_episturmian(w: str) -> bool:
     # it tries a short directive: on the accepted baabacababac it makes
     # 147 634 pal_closure calls against 246 for deepening.
     return any(search("", limit) for limit in range(1, len(w) + 1))
+
+
+def oracle_check_witness(w: str, u: str) -> bool:
+    """check_witness by its definition: for every Order on the letters of w
+    and u whose least letter a occurs in w, lex_le(a·u, min_of(w)) with a·u
+    cut to |min(w)|. Same answers and errors as check_witness."""
+    validate_word(w)
+    validate_word(u)
+    if not w:
+        raise InputError("empty word")
+    letters = alph(w) | alph(u)
+    if len(letters) > MAX_ALPHABET:
+        raise InputError(f"alphabet larger than {MAX_ALPHABET}")
+    present = alph(w)
+    minima = [
+        (order, min_of(w, order))
+        for order in all_orders(letters)
+        if order.min_letter in present
+    ]
+    longest = max(len(m) for _, m in minima)
+    if len(u) < longest - 1:
+        raise InputError(
+            f"witness too short: |u|={len(u)} < |min(w)|-1 = {longest - 1}"
+        )
+    return all(
+        lex_le(order.min_letter + u[: len(m) - 1], m, order) for order, m in minima
+    )
+
+
+def check_certificate(w: str, cert: Certificate) -> bool:
+    """True iff cert shows w finite episturmian without the decider's own
+    construction: the directive's preperiod, closed letter by letter with
+    pal_closure, holds w at occurrence_index, witness_u is that word's first
+    |w| letters, and oracle_check_witness accepts the witness."""
+    embedding = ""
+    for x in cert.embedding_directive.preperiod:
+        embedding = pal_closure(embedding + x)
+    start = cert.occurrence_index
+    return (
+        0 <= start
+        and embedding[start : start + len(w)] == w
+        and cert.witness_u == embedding[: len(w)]
+        and oracle_check_witness(w, cert.witness_u)
+    )
 
 
 def discovery_table(letters, max_len: int) -> dict[str, int]:

@@ -1,5 +1,6 @@
 """Reference helpers for the tests: the paper's nested palindromic prefixes
-u(i) and the words h(i), each a thin wrapper over a library path.
+u(i) and the words h(i), each a thin wrapper over a library path, and an
+order-free rule for the witness check.
 
 Not a test module; the tests import it by name.
 """
@@ -27,3 +28,19 @@ def h_words(d, n: int) -> list[str]:
     """
     xs = "".join(islice(d.letters(), n))
     return [apply_morphism(xs[:i], xs[i]) for i in range(len(xs))]
+
+
+def witness_holds_order_free(w: str, u: str) -> bool:
+    """check_witness(w, u) with no loop over orders, for |u| >= |w| - 1.
+
+    At every position p, either w[p+1:] and u agree on their common length,
+    or u's letter at their first mismatch is w[p]. Checked against
+    check_witness in tests/test_classify.py; a Z-array would make it linear.
+    """
+    for p, c in enumerate(w):
+        for x, y in zip(w[p + 1 :], u):
+            if x != y:
+                if y != c:
+                    return False
+                break
+    return True

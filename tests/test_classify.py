@@ -2,6 +2,7 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -40,7 +41,12 @@ from epiword import (
     wide_sense_check,
 )
 from epiword.generate import palindromic_walk
-from epiword.oracles import _balanced_by_windows, _episturmian_oracle_by_alphabet
+from epiword.oracles import (
+    _balanced_by_windows,
+    _episturmian_oracle_by_alphabet,
+    oracle_check_witness,
+)
+from references import witness_holds_order_free
 
 
 def test_separating_letters():
@@ -160,6 +166,48 @@ def test_check_witness_paper_values():
 def test_check_witness_too_short():
     with pytest.raises(InputError):
         check_witness("baabacababac", "abac")
+
+
+def _witness_outcome(check, w, u):
+    try:
+        return check(w, u)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _witness_pairs():
+    # Every pair over abc with |w| <= 6 and |u| <= |w|, w up to a renaming
+    # of its letters (first occurrences in a, b, c order): both checks range
+    # over every order, so a renaming changes neither answer nor message.
+    # The random pairs over 4 and 5 letters keep their letters as drawn.
+    us = [["".join(t) for t in product("abc", repeat=n)] for n in range(7)]
+    for n in range(7):
+        for w in map("".join, product("abc", repeat=n)):
+            if "".join(dict.fromkeys(w)) == "abc"[: len(set(w))]:
+                yield from ((w, u) for k in range(n + 1) for u in us[k])
+    rng = random.Random(31)
+    for letters in ("abcd", "abcde"):
+        for _ in range(400):
+            t = DirectiveSpec("", "".join(rng.choice(letters) for _ in range(6))).prefix(48)
+            n = rng.randint(1, 12)
+            i = rng.randrange(len(t) - n)
+            u = list(t[: rng.randint(max(0, n - 3), n + 1)])
+            if u and rng.random() < 0.5:
+                u[rng.randrange(len(u))] = rng.choice(letters)
+            yield t[i : i + n], "".join(u)
+
+
+def test_check_witness_matches_the_order_by_order_reference():
+    # The reference builds an Order, a min_of and a lex_le per order; the
+    # order-free rule is checked on the pairs long enough for it to apply.
+    outcomes = Counter()
+    for w, u in _witness_pairs():
+        got = _witness_outcome(check_witness, w, u)
+        assert got == _witness_outcome(oracle_check_witness, w, u), (w, u)
+        outcomes[got if isinstance(got, bool) else "error"] += 1
+        if w and len(u) >= len(w) - 1:
+            assert witness_holds_order_free(w, u) is got, (w, u)
+    assert min(outcomes[True], outcomes[False], outcomes["error"]) > 0, outcomes
 
 
 def test_find_witness():

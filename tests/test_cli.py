@@ -81,7 +81,7 @@ def test_malformed_episkew_spec_is_input_error(capsys, spec):
     for text in ("[1]", '"x"'):
         code, _, err = run(capsys, "generate", "--episkew", text, "--length", "5")
         assert code == 2
-        assert err == f"error: episkew spec must be a JSON object, got {json.loads(text)!r}\n"
+        assert err == f"error: episkew spec must be a JSON object, got {type(json.loads(text)).__name__}\n"
 
 
 def test_minmax(capsys):
@@ -141,6 +141,35 @@ def test_balanced(capsys):
     code, out, _ = run(capsys, "balanced", "aabababaabaab")
     assert code == 1
     assert "u=aba" in out
+
+
+def test_balanced_runs_one_sturmian_test_per_word(capsys, monkeypatch):
+    import io
+    from itertools import product
+
+    import epiword.classify as classify
+    import epiword.cli as cli
+    from epiword import is_balanced, sturmian_test
+
+    words = ["".join(t) for n in range(1, 9) for t in product("ab", repeat=n)]
+    expected = [
+        {"word": w, "balanced": b, "u": None if b else sturmian_test(w).u}
+        for w, b in ((w, is_balanced(w)) for w in words)
+    ]
+    tested = []
+
+    def counted(w):
+        tested.append(w)
+        return sturmian_test(w)
+
+    monkeypatch.setattr(cli, "sturmian_test", counted)
+    monkeypatch.setattr(classify, "sturmian_test", counted)
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(words)))
+    code, out, _ = run(capsys, "balanced", "-", "--json")
+    assert code == 1
+    assert [json.loads(line) for line in out.splitlines()] == expected
+    assert tested == [w for w in words if set(w) == {"a", "b"}]
+    assert sum(not e["balanced"] for e in expected) > 0
 
 
 def test_complexity(capsys):
@@ -266,6 +295,19 @@ def test_deeply_nested_episkew_json_is_input_error(depth):
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+def test_deeply_nested_wrong_typed_episkew_value_has_a_short_message():
+    # The message names the value's type, so stderr stays one short line
+    # however deep the value is nested.
+    deep = "[" * 900 + "]" * 900
+    valid = '"excluded_letter": "c", "inner_directive": "*ab", "p": 0, "suffix_index": 1'
+    for text in (deep, '{"mu": ' + deep + ", " + valid + "}"):
+        proc = _run_checkout("generate", "--episkew", text, "--length", "5")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.endswith("got list\n")
+        assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr) < 200
+
 
 def test_long_skew_prefix_stays_fast():
     # Appending the period one copy at a time took 5.4-6 s at this length

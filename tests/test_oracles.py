@@ -1,10 +1,14 @@
+import random
+from dataclasses import replace
 from itertools import product
 from types import SimpleNamespace
 
 import pytest
 
 from epiword import (
+    DirectiveSpec,
     InputError,
+    alph,
     discovery_table,
     is_balanced,
     is_finite_episturmian,
@@ -13,7 +17,7 @@ from epiword import (
     pal_closure,
     sweep,
 )
-from epiword.oracles import _balanced_by_windows, _balanced_levels
+from epiword.oracles import _balanced_by_windows, _balanced_levels, check_certificate
 
 
 def _discovery_table_full_scan(letters, max_len):
@@ -67,6 +71,56 @@ def test_discovery_table_agrees_with_oracle():
             found = table.get(w)
             expected = oracle_is_finite_episturmian(w)
             assert (found is not None and found <= n) == expected, w
+
+
+def test_certificate_checker_accepts_every_sweep_certificate():
+    accepted = 0
+    for letters, max_len in (("ab", 10), ("abc", 6)):
+        for n in range(1, max_len + 1):
+            for w in map("".join, product(letters, repeat=n)):
+                verdict = is_finite_episturmian(w)
+                if verdict.accepted:
+                    accepted += 1
+                    assert check_certificate(w, verdict.certificate), w
+    assert accepted == 878
+
+
+def test_certificate_checker_on_factors_of_random_standard_words():
+    # The reference witness loop builds |A|! orders per word, so n is capped
+    # per alphabet size. A factor holding all 8 letters is at least 65 long
+    # and takes the two order loops about 3.5 s, so the 8-letter words hold
+    # fewer letters.
+    rng = random.Random(37)
+    most = 0
+    for size, max_n, count in ((2, 300, 12), (3, 160, 12), (4, 90, 10), (5, 60, 8), (6, 40, 6), (7, 32, 3), (8, 30, 2)):
+        letters = "abcdefgh"[:size]
+        for _ in range(count):
+            chain = "".join(rng.sample(letters, size) + rng.choices(letters, k=size))
+            n = rng.randint(max_n // 2, max_n)
+            t = DirectiveSpec(chain, letters).prefix(3 * n)
+            i = rng.randrange(2 * n)
+            w = t[i : i + n]
+            verdict = is_finite_episturmian(w)
+            assert verdict.accepted, w
+            assert check_certificate(w, verdict.certificate), w
+            most = max(most, len(alph(w)))
+    assert most >= 6
+
+
+def test_certificate_checker_rejects_altered_certificates():
+    w = "baabacababac"
+    cert = is_finite_episturmian(w).certificate
+    assert check_certificate(w, cert)
+    bad_directive = replace(cert, embedding_directive=DirectiveSpec("ab", "a"))
+    assert not check_certificate(w, bad_directive)
+    embedding = ""
+    for x in cert.embedding_directive.preperiod:
+        embedding = pal_closure(embedding + x)
+    # The negative index slices out w too, counted from the end.
+    for i in (cert.occurrence_index + 1, cert.occurrence_index - len(embedding)):
+        assert not check_certificate(w, replace(cert, occurrence_index=i))
+    assert not check_certificate(w, replace(cert, witness_u="b" + cert.witness_u[1:]))
+    assert not check_certificate(w, replace(cert, witness_u=cert.witness_u[:-1]))
 
 
 def test_balanced_levels():
