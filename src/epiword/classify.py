@@ -411,22 +411,30 @@ def wide_sense_check(prefix: str) -> WideSenseResult:
     return WideSenseResult(False, best)
 
 
-def _doubling_minima(source, k: int):
+def _doubling_minima(source, k: int, unsettled: str):
     """Prefixes of the generated word, doubling in length up to the letter
-    budget, each with its per-order length-k minima."""
+    budget, each with its per-order length-k minima and whether those equal
+    the previous prefix's (settled). Past the budget, InconclusiveError
+    reads "length-k minima <unsettled> <budget> letters"."""
     if k < 1:
         raise InputError("k must be positive")
     length = max(4 * k, 64)
+    prev = None
     while length <= STABILITY_BUDGET:
         prefix = source.prefix(length)
         # One window set, shared by all |A|! orders: a rank scan per order
         # (min_factor) was up to 1.9x slower on the 4-letter fine checks of
         # perfbench's extremal workload, seed 0 (3.6 -> 6.7 ms at k = 20).
         windows = factors(prefix, k)
-        yield prefix, {
+        minima = {
             order: min(windows, key=order.key) for order in all_orders(alph(prefix))
         }
+        yield prefix, minima, minima == prev
+        prev = minima
         length *= 2
+    raise InconclusiveError(
+        f"length-{k} minima {unsettled} {STABILITY_BUDGET} letters"
+    )
 
 
 def check_min_inequality(d: DirectiveSpec, k: int) -> bool:
@@ -439,17 +447,12 @@ def check_min_inequality(d: DirectiveSpec, k: int) -> bool:
     Stabilization alone is not trusted for equality: the witnessing factor
     can first occur far beyond where the minima stop moving.
     """
-    prev = None
-    for prefix, minima in _doubling_minima(d, k):
+    for prefix, minima, settled in _doubling_minima(d, k, "not settled within"):
         floors = {order: order.min_letter + prefix[: k - 1] for order in minima}
         if not all(o.key(floors[o]) <= o.key(mk) for o, mk in minima.items()):
             return False
-        if minima == (floors if d.is_strict else prev):
+        if minima == floors if d.is_strict else settled:
             return True
-        prev = minima
-    raise InconclusiveError(
-        f"length-{k} minima not settled within {STABILITY_BUDGET} letters"
-    )
 
 
 def check_fine_prefix(source, k: int) -> bool:
@@ -458,16 +461,11 @@ def check_fine_prefix(source, k: int) -> bool:
     The minima are read off the first doubled prefix on which they repeat
     those of the prefix before; InconclusiveError past the letter budget.
     """
-    prev = None
-    for prefix, minima in _doubling_minima(source, k):
-        if minima == prev:
+    for _, minima, settled in _doubling_minima(source, k, "still changing at"):
+        if settled:
             break
-        prev = minima
-    else:
-        raise InconclusiveError(
-            f"length-{k} minima still changing at {STABILITY_BUDGET} letters"
-        )
-    if len(alph(prefix)) < 2:
+    # One order per permutation: fewer than two orders means one letter.
+    if len(minima) < 2:
         raise InputError("fineness needs at least two letters")
     tails = set()
     for order, mk in minima.items():

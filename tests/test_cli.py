@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -14,6 +15,38 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _readme_examples():
+    """(argv, exit code, stdout lines) for each `$ epiword ...` line of the
+    README's Examples block. A trailing `; echo "exit $?"` prints the exit
+    code as the last output line; without one the code is 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            command, _, echo = line[2:].partition(" ; ")
+            program, *argv = shlex.split(command)
+            assert program == "epiword", line
+            examples.append((argv, bool(echo), []))
+        else:
+            examples[-1][2].append(line)
+    return [
+        (argv, int(out.pop().removeprefix("exit ")) if echo else 0, out)
+        for argv, echo, out in examples
+    ]
+
+
+def test_readme_examples(capsys):
+    examples = _readme_examples()
+    assert len(examples) == 5
+    for argv, expected_code, expected_lines in examples:
+        code, out, _ = run(capsys, *argv)
+        assert code == expected_code, argv
+        # Wall time is the one line that differs from run to run.
+        lines = [x for x in out.splitlines() if not x.startswith("elapsed=")]
+        assert lines == [x for x in expected_lines if not x.startswith("elapsed=")], argv
 
 
 def test_generate_directive(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epiword import (
+    DirectiveSpec,
     InputError,
     Order,
     all_orders,
@@ -23,6 +24,7 @@ from epiword import (
     reversal,
     validate_word,
 )
+from references import least_suffix_start_duval
 
 words_abc = st.text(alphabet="abc", min_size=1, max_size=40)
 
@@ -209,6 +211,41 @@ def test_extremes_match_scans_exhaustive():
                 for k in range(1, n + 1):
                     assert min_factor(w, k, order) == _min_factor_by_scan(w, k, order)
                     assert max_factor(w, k, order) == _max_factor_by_scan(w, k, order)
+
+
+def _duval_extremes_match(w, order):
+    reverse = Order(order.letters[::-1])
+    return (
+        w[least_suffix_start_duval(order.key(w)) :] == min_of(w, order)
+        and w[least_suffix_start_duval(reverse.key(w)) :] == max_of(w, order)
+    )
+
+
+def test_duval_least_suffix_matches_min_of_and_max_of():
+    # Every word of length 1-8 over abc under every order on its letters
+    # (52 992 pairs), then long words: the run families that are quadratic
+    # for the position-set loop, factors of standard words and random words.
+    for n in range(1, 9):
+        for w in map("".join, product("abc", repeat=n)):
+            for order in all_orders(alph(w)):
+                assert _duval_extremes_match(w, order), (w, order)
+    rng = random.Random(23)
+    long_words = []
+    for m in (1, 2, 3, 17, 250, 1_500):
+        a = "a" * m
+        long_words += [a + "b", "ab" * m, a + "b" + a, "ba" + a + "b" + a + "ba"]
+    for _ in range(20):
+        letters = "abcd"[: rng.randint(2, 4)]
+        directive = DirectiveSpec("", "".join(rng.choices(letters, k=rng.randint(2, 5))))
+        t = directive.prefix(4_000)
+        start = rng.randrange(2_000)
+        long_words.append(t[start : start + rng.randint(1, 2_000)])
+    for _ in range(20):
+        letters = "abcd"[: rng.randint(2, 4)]
+        long_words.append("".join(rng.choices(letters, k=rng.randint(1, 2_000))))
+    for w in long_words:
+        for order in all_orders(alph(w)):
+            assert _duval_extremes_match(w, order), (len(w), order)
 
 
 def test_fixed_length_extremes_hold_one_window_at_a_time():
