@@ -9,7 +9,6 @@ from .words import (
     Order,
     all_orders,
     alph,
-    alphabetical,
     factor_complexity,
     factors,
     lex_le,
@@ -40,7 +39,6 @@ from .classify import (
     check_fine_prefix,
     check_min_inequality,
     check_witness,
-    find_witness,
     is_balanced,
     is_finite_episturmian,
     separating_letters,

@@ -73,7 +73,7 @@ class Certificate:
         return {
             "reduction_letters": self.reduction_letters,
             "base_word": self.base_word,
-            "embedding_directive": self.embedding_directive.text(),
+            "embedding_directive": str(self.embedding_directive),
             "occurrence_index": self.occurrence_index,
             "witness_u": self.witness_u,
         }
@@ -176,9 +176,7 @@ def _strip(runs, parity: int, m: int, keep_final: bool = False):
     if keep_final:
         shorter[-1] += m
     counts[parity::2] = shorter
-    if min(shorter) > 0:
-        return letters, counts
-    # Runs of x are gone: an interior one's two neighbours meet.
+    # A run of x that is gone lets its neighbours meet; none gone, none merge.
     merged_letters, merged = [], []
     for c, k in zip(letters, counts):
         if k <= 0:
@@ -311,12 +309,6 @@ def check_witness(w: str, u: str) -> bool:
             f"witness too short: |u|={len(u)} < |min(w)|-1 = {longest - 1}"
         )
     return all("\0" + u[: len(m) - 1].translate(table) <= m for table, m in minima)
-
-
-def find_witness(w: str) -> str | None:
-    """A witness u validating w, or None when w is not episturmian."""
-    verdict = is_finite_episturmian(w)
-    return verdict.certificate.witness_u if verdict.accepted else None
 
 
 def is_balanced(w: str) -> bool:
@@ -467,9 +459,7 @@ def check_fine_prefix(source, k: int) -> bool:
     # One order per permutation: fewer than two orders means one letter.
     if len(minima) < 2:
         raise InputError("fineness needs at least two letters")
-    tails = set()
-    for order, mk in minima.items():
-        if not mk.startswith(order.min_letter):
-            return False
-        tails.add(mk[1:])
-    return len(tails) == 1
+    # Settled minima belong to a prefix P and its first half H, so both have
+    # one alphabet and every letter occurs in H, before |H| <= |P| - k: each
+    # order's least window starts with its least letter, which needs no test.
+    return len({mk[1:] for mk in minima.values()}) == 1

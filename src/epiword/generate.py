@@ -86,16 +86,11 @@ class DirectiveSpec:
 
     @classmethod
     def from_text(cls, text: str) -> "DirectiveSpec":
-        pre, star, per = text.partition("*")
-        if not star:
-            return cls(text, "")
+        pre, _, per = text.partition("*")
         return cls(pre, per)
 
-    def text(self) -> str:
-        return f"{self.preperiod}*{self.period}" if self.period else self.preperiod
-
     def __str__(self) -> str:
-        return self.text()
+        return f"{self.preperiod}*{self.period}" if self.period else self.preperiod
 
     def letters(self):
         yield from self.preperiod
@@ -264,8 +259,5 @@ class EpiskewSpec:
     def prefix(self, n: int) -> str:
         """First n letters of v·mu(s)."""
         v = self.head()
-        if n <= len(v):
-            return v[:n]
-        rest = n - len(v)
-        image = apply_morphism(self.mu, self.inner_directive.prefix(rest))
-        return v + image[:rest]
+        image = apply_morphism(self.mu, self.inner_directive.prefix(max(0, n - len(v))))
+        return (v + image)[:n]

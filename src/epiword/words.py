@@ -79,11 +79,6 @@ class Order:
         return w.translate(self._ranks)
 
 
-def alphabetical(w: str) -> Order:
-    """Default order: the word's letters in a-z order."""
-    return Order("".join(sorted(alph(w))))
-
-
 def all_orders(letters) -> list[Order]:
     """Every order on the given letter set (|A|! of them, A capped at 8)."""
     letters = sorted(set(letters))

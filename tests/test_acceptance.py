@@ -18,7 +18,7 @@ from epiword import (
     check_min_inequality,
     check_witness,
     factor_complexity,
-    find_witness,
+    is_finite_episturmian,
     min_of,
     psi,
     reversal,
@@ -64,8 +64,9 @@ def test_criterion_02_witness_verification():
     with criterion(2, "witness verification", budget=1.0):
         w = "baabacababac"
         assert check_witness(w, "abacaaaaaa") is True
-        u = find_witness(w)
-        assert u is not None and u.startswith("aba")
+        cert = is_finite_episturmian(w).certificate
+        assert cert is not None and cert.witness_u.startswith("aba")
+        u = cert.witness_u
         assert check_witness(w, u)
 
 

@@ -27,7 +27,6 @@ from epiword import (
     check_min_inequality,
     check_witness,
     factors,
-    find_witness,
     is_balanced,
     is_finite_episturmian,
     max_of,
@@ -39,6 +38,7 @@ from epiword import (
     sturmian_test,
     wide_sense_check,
 )
+from epiword.classify import _doubling_minima
 from epiword.generate import palindromic_walk
 from epiword.oracles import (
     _balanced_by_windows,
@@ -114,6 +114,21 @@ def test_rejection_reasons():
 def test_empty_word_rejected():
     with pytest.raises(InputError):
         is_finite_episturmian("")
+
+
+@pytest.mark.parametrize(
+    "check, args, message",
+    [
+        (oracle_is_finite_episturmian, ("",), "empty word"),
+        (oracle_check_witness, ("abcdefghi", "a"), "alphabet larger than 8"),
+        (check_witness, ("abcdefghi", "a"), "alphabet larger than 8"),
+        (check_witness, ("ab", "cdefghi"), "alphabet larger than 8"),
+    ],
+)
+def test_input_error_messages(check, args, message):
+    with pytest.raises(InputError) as exc:
+        check(*args)
+    assert str(exc.value) == message
 
 
 def test_certificate_paper_word():
@@ -202,10 +217,11 @@ def test_check_witness_matches_the_order_by_order_reference():
 
 
 def test_find_witness():
-    assert find_witness("baabacababac").startswith("aba")
-    assert find_witness("aabababaabaab") is None
-    unary = find_witness("aaaa")
-    assert unary is not None and set(unary) == {"a"}
+    # A witness is read off the accepted verdict's certificate.
+    assert is_finite_episturmian("baabacababac").certificate.witness_u.startswith("aba")
+    assert is_finite_episturmian("aabababaabaab").certificate is None
+    unary = is_finite_episturmian("aaaa").certificate.witness_u
+    assert set(unary) == {"a"}
 
 
 def test_witness_first_letter_is_separating():
@@ -216,9 +232,10 @@ def test_witness_first_letter_is_separating():
         w = "".join(rng.choice(letters) for _ in range(rng.randint(2, 12)))
         if len(alph(w)) < 2:
             continue
-        u = find_witness(w)
-        if u is None:
+        cert = is_finite_episturmian(w).certificate
+        if cert is None:
             continue
+        u = cert.witness_u
         assert u, w
         assert u[0] in separating_letters(w), (w, u)
         seen += 1
@@ -654,6 +671,35 @@ def test_fine_for_strict_episkew():
     assert check_fine_prefix(spec, 12)
 
 
+def _seeded_fine_sources(rng, n):
+    """n directive, skew and episkew sources each over at most four letters,
+    some holding letters that only a long preperiod or the head has."""
+
+    def word(lo, hi, letters):
+        return "".join(rng.choice(letters) for _ in range(rng.randint(lo, hi)))
+
+    for _ in range(n):
+        late = rng.choice(["", "a" * 100 + "b"])
+        yield DirectiveSpec(word(0, 3, "abcd") + late, word(1, 3, "abc"))
+        yield EventuallyPeriodicSpec(word(1, 6, "abcd"), word(1, 3, "ab"))
+        p = rng.randint(0, 4)
+        inner = DirectiveSpec(word(0, 2, "ab"), word(1, 3, "ab"))
+        yield EpiskewSpec(word(0, 2, "abcd"), "c", inner, p, rng.randint(1, p + 1))
+
+
+def test_settled_minima_start_with_their_least_letter():
+    # check_fine_prefix tests only the tails of the settled minima: every
+    # letter of the settled prefix occurs in its first half, so each order's
+    # least length-k window starts with that order's least letter.
+    for source in _seeded_fine_sources(random.Random(19), 80):
+        for k in (1, 2, 5, 13, 40):
+            for _, minima, settled in _doubling_minima(source, k, "unsettled at"):
+                if settled:
+                    break
+            for order, mk in minima.items():
+                assert mk.startswith(order.min_letter), (source, k, order)
+
+
 def test_prefix_checks_report_inconclusive_on_tiny_budget(monkeypatch):
     import epiword.classify as classify
     from epiword import InconclusiveError
@@ -677,9 +723,10 @@ def test_witness_inequality_survives_extension():
     while seen < 20:
         letters = "abc"[: rng.randint(2, 3)]
         w = "".join(rng.choice(letters) for _ in range(rng.randint(2, 10)))
-        u = find_witness(w)
-        if u is None:
+        cert = is_finite_episturmian(w).certificate
+        if cert is None:
             continue
+        u = cert.witness_u
         tail = "".join(rng.choice(letters) for _ in range(rng.randint(1, 6)))
         assert check_witness(w, u + tail), (w, u, tail)
         seen += 1

@@ -117,6 +117,46 @@ def test_malformed_episkew_spec_is_input_error(capsys, spec):
         assert err == f"error: episkew spec must be a JSON object, got {type(json.loads(text)).__name__}\n"
 
 
+_EPISKEW = '{"mu": "", "excluded_letter": "c", "inner_directive": "*ab", "p": 0, "suffix_index": 1}'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--skew", "ab", "--length", "3"],
+         "skew spec must be U,V with V non-empty: 'ab'"),
+        (["generate", "--directive", "*ab", "--length", "-1"], "--length must be non-negative"),
+        (["generate", "--episkew", _EPISKEW.replace('"c"', '"cc"'), "--length", "3"],
+         "excluded_letter must be a single letter"),
+        (["generate", "--episkew", _EPISKEW.replace('"p": 0', '"p": -1'), "--length", "3"],
+         "p must be non-negative"),
+        # The skew head shows all nine letters at once; a directive would
+        # first run all 8! orders on its eight-letter prefix.
+        (["test", "fine", "abcdefghi,a", "--k", "1"],
+         f"alphabet larger than 8: {list('abcdefghi')}"),
+    ],
+)
+def test_input_error_messages(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "spec, code, out, err",
+    [
+        ("1e-3:0", 0, "aaa\n", ""),
+        ("1e-1000000:0", 0, "aaa\n", ""),
+        ("1e-20000000:0", 2, "", "error: bad mechanical spec '1e-20000000:0': exponent above 1000000\n"),
+        ("1e20000000:0", 2, "", "error: bad mechanical spec '1e20000000:0': exponent above 1000000\n"),
+    ],
+)
+def test_mechanical_exponent_bound(capsys, spec, code, out, err):
+    # Fraction would expand 1e-20000000 into a power of ten for well over
+    # ten seconds; past the bound the spec is refused before that.
+    start = time.perf_counter()
+    assert run(capsys, "generate", "--mechanical", spec, "--length", "3") == (code, out, err)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_minmax(capsys):
     code, out, _ = run(capsys, "minmax", "baabacababac", "--order", "bac")
     assert code == 0

@@ -81,8 +81,8 @@ def test_directive_text_forms():
     assert DirectiveSpec.from_text("*ab") == DirectiveSpec("", "ab")
     assert DirectiveSpec.from_text("c*ab") == DirectiveSpec("c", "ab")
     assert DirectiveSpec.from_text("abc") == DirectiveSpec("abc", "")
-    assert DirectiveSpec("c", "ab").text() == "c*ab"
-    assert DirectiveSpec("abc", "").text() == "abc"
+    assert str(DirectiveSpec("c", "ab")) == "c*ab"
+    assert str(DirectiveSpec("abc", "")) == "abc"
     assert DirectiveSpec("", "ab").is_strict
     assert DirectiveSpec("a", "ab").is_strict
     assert not DirectiveSpec("b", "a").is_strict

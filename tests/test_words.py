@@ -13,7 +13,6 @@ from epiword import (
     Order,
     all_orders,
     alph,
-    alphabetical,
     factor_complexity,
     factors,
     lex_le,
@@ -303,7 +302,7 @@ def test_factor_complexity_unary():
 
 def test_orders():
     assert Order("bac").min_letter == "b"
-    assert alphabetical("cba").letters == "abc"
+    assert Order("".join(sorted(alph("cba")))).letters == "abc"
     assert len(all_orders("abc")) == 6
     with pytest.raises(InputError):
         Order("aab")
