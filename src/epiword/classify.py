@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import count, permutations
 
-from .generate import DirectiveSpec, palindromic_walk
+from .generate import DirectiveSpec, palindromic_prefix
 from .words import (
     _REFLECT,
     MAX_ALPHABET,
@@ -40,6 +40,7 @@ from .words import (
     all_orders,
     alph,
     factors,
+    min_factor,
     min_of,  # not called here; perfbench's tracer test checks this binding
     validate_word,
 )
@@ -243,8 +244,7 @@ def _certificate(w: str, chain: list[str], base) -> Certificate:
     # The prefixes are nested, so every one that holds w holds it first at
     # the same place and starts with the same |w| letters: the last one,
     # which holds w, gives occurrence and witness.
-    for generated in palindromic_walk(directive.preperiod):
-        pass
+    generated = palindromic_prefix(directive.preperiod)
     occurrence = generated.find(w)
     assert occurrence >= 0, f"embedding lost {w!r} under directive {directive}"
     return Certificate(
@@ -414,13 +414,7 @@ def _doubling_minima(source, k: int, unsettled: str):
     prev = None
     while length <= STABILITY_BUDGET:
         prefix = source.prefix(length)
-        # One window set, shared by all |A|! orders: a rank scan per order
-        # (min_factor) was up to 1.9x slower on the 4-letter fine checks of
-        # perfbench's extremal workload, seed 0 (3.6 -> 6.7 ms at k = 20).
-        windows = factors(prefix, k)
-        minima = {
-            order: min(windows, key=order.key) for order in all_orders(alph(prefix))
-        }
+        minima = {order: min_factor(prefix, k, order) for order in all_orders(alph(prefix))}
         yield prefix, minima, minima == prev
         prev = minima
         length *= 2

@@ -4,13 +4,14 @@ its own prefix(n).
 
 A directive word drives the iterated palindromic closure u(n+1) = (u(n)·x)^+,
 whose nested palindromic prefixes converge to a standard episturmian word.
-palindromic_walk takes each step by Justin's formula; pal_closure, the direct
-construction, is off that path and serves the oracles as a reference.
+palindromic_prefix appends each step, by Justin's formula, to one buffer;
+pal_closure, the direct construction, serves the oracles as a reference.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from itertools import pairwise
+from math import inf, lcm
 
 from .words import (
     InputError,
@@ -114,22 +115,23 @@ class DirectiveSpec:
         return standard_prefix(self, n)[:n]
 
 
-def palindromic_walk(letters):
-    """Yield the nested palindromic prefixes u(1) = empty and
-    u(i+1) = (u(i)·x(i))^+ for the letters x(1), x(2), ... in turn.
+def palindromic_prefix(letters, min_len=inf) -> str:
+    """The first nested palindromic prefix u(1) = empty, u(i+1) = (u(i)·x(i))^+
+    over the letters x(i) that is at least min_len long, else the last one.
 
-    Each step is Justin's formula (RAIRO ITA 39, 2005), with no rescan:
-    u(i)·x·u(i) when x is new, else u(i)·u(j)^{-1}·u(i), where u(j) is the
+    Each step appends Justin's formula (RAIRO ITA 39, 2005) to one buffer:
+    x·u(i) when x is new, else u(i) less its prefix u(j), where u(j) is the
     prefix just before x's previous step.
     """
-    u = ""
+    u = bytearray()
     before = {}
-    yield u
     for x in letters:
+        if len(u) >= min_len:
+            break
         cut = before.get(x)
         before[x] = len(u)
-        u = u + x + u if cut is None else u + u[cut:]
-        yield u
+        u += x.encode() + u if cut is None else u[cut:]
+    return u.decode()
 
 
 def standard_prefix(d: DirectiveSpec, min_len: int) -> str:
@@ -137,12 +139,12 @@ def standard_prefix(d: DirectiveSpec, min_len: int) -> str:
 
     Output may overshoot min_len: closure steps are applied whole.
     """
-    for u in palindromic_walk(d.letters()):
-        if len(u) >= min_len:
-            return u
-    raise InsufficientDirectiveError(
-        f"directive {d} exhausted at length {len(u)}, need {min_len}"
-    )
+    u = palindromic_prefix(d.letters(), min_len)
+    if len(u) < min_len:
+        raise InsufficientDirectiveError(
+            f"directive {d} exhausted at length {len(u)}, need {min_len}"
+        )
+    return u
 
 
 @dataclass(frozen=True)
@@ -160,13 +162,16 @@ class MechanicalSpec:
             raise InputError(f"variant must be floor or ceiling: {self.variant!r}")
 
     def prefix(self, n: int) -> str:
-        """First n letters: 'a' where the floor (or ceiling) difference is 0."""
-        f = floor if self.variant == "floor" else ceil
-        out = []
-        for i in range(n):
-            step = f((i + 1) * self.alpha + self.rho) - f(i * self.alpha + self.rho)
-            out.append("a" if step == 0 else "b")
-        return "".join(out)
+        """First n letters: 'a' where the floor (or ceiling) difference is 0.
+
+        i·alpha + rho is x/d over the common denominator d, so its floor is
+        x // d and its ceiling -(-x // d): one integer division per letter.
+        """
+        d = lcm(self.alpha.denominator, self.rho.denominator)
+        sign = 1 if self.variant == "floor" else -1
+        a, r = (sign * f.numerator * (d // f.denominator) for f in (self.alpha, self.rho))
+        floors = ((r + i * a) // d for i in range(n + 1))
+        return "".join("a" if lo == hi else "b" for lo, hi in pairwise(floors))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ Not a test module; the tests import it by name.
 from itertools import islice
 
 from epiword import apply_morphism
-from epiword.generate import palindromic_walk
+from epiword.generate import palindromic_prefix
 
 
 def is_palindrome(w: str) -> bool:
@@ -17,7 +17,7 @@ def is_palindrome(w: str) -> bool:
 
 def palindromic_prefixes(d, count: int) -> list[str]:
     """The nested palindromic prefixes u(1) = empty, u(2), ..., u(count)."""
-    return list(islice(palindromic_walk(d.letters()), count))
+    return [palindromic_prefix(islice(d.letters(), i)) for i in range(count)]
 
 
 def h_words(d, n: int) -> list[str]:

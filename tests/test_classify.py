@@ -39,7 +39,7 @@ from epiword import (
     wide_sense_check,
 )
 from epiword.classify import _doubling_minima
-from epiword.generate import palindromic_walk
+from epiword.generate import palindromic_prefix
 from epiword.oracles import (
     _balanced_by_windows,
     _episturmian_oracle_by_alphabet,
@@ -533,7 +533,8 @@ def _single_step_verdict(w):
     x, y, p, q = base
     tail = x * p if y is None else x * max(p, q) + y
     directive = DirectiveSpec("".join(chain) + tail, x)
-    for generated in palindromic_walk(directive.preperiod):
+    for i in range(len(directive.preperiod) + 1):
+        generated = palindromic_prefix(directive.preperiod[:i])
         if (occurrence := generated.find(w)) >= 0:
             break
     cert = Certificate("".join(chain), cur, directive, occurrence, generated[: len(w)])
@@ -599,7 +600,7 @@ def test_run_steps_match_single_steps_on_standard_factors():
         directive = is_finite_episturmian(w).certificate.embedding_directive
         # The prefixes are nested: w lies in the one before the last
         # exactly when the first that holds it is not the last.
-        early += w in list(palindromic_walk(directive.preperiod))[-2]
+        early += w in palindromic_prefix(directive.preperiod[:-1])
     # The first prefix that holds the word comes before the last one for
     # 90 of the 300 words.
     assert early > 0

@@ -157,6 +157,15 @@ def test_mechanical_exponent_bound(capsys, spec, code, out, err):
     assert time.perf_counter() - start < 1.0
 
 
+def test_mechanical_letters_cost_no_fraction_arithmetic(capsys):
+    # The same bound as above at 1 000 letters: each letter is integer
+    # arithmetic, not Fraction arithmetic on million-digit numbers.
+    start = time.perf_counter()
+    argv = ("generate", "--mechanical", "1e-1000000:0", "--length", "1000")
+    assert run(capsys, *argv) == (0, "a" * 1000 + "\n", "")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_minmax(capsys):
     code, out, _ = run(capsys, "minmax", "baabacababac", "--order", "bac")
     assert code == 0

@@ -215,9 +215,23 @@ _HUGE_EPISKEW = json.dumps(
 )
 
 
-def _limit_child():
-    resource.setrlimit(resource.RLIMIT_AS, (_MEMORY_LIMIT, _MEMORY_LIMIT))
-    resource.setrlimit(resource.RLIMIT_CPU, (_CPU_SECONDS, _CPU_SECONDS))
+def _run_limited(argv, memory_limit):
+    # The child gets its own address-space limit, so the input runs into it
+    # within a fraction of a second instead of into the machine's memory.
+    def limit_child():
+        resource.setrlimit(resource.RLIMIT_AS, (memory_limit, memory_limit))
+        resource.setrlimit(resource.RLIMIT_CPU, (_CPU_SECONDS, _CPU_SECONDS))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "epiword", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        preexec_fn=limit_child,
+        timeout=4 * _CPU_SECONDS,
+    )
 
 
 @pytest.mark.parametrize(
@@ -231,18 +245,14 @@ def _limit_child():
     ids=["generate-directive", "generate-episkew", "test-fine-episkew", "complexity"],
 )
 def test_inputs_too_large_for_memory_exit_2(argv):
-    # The child gets its own address-space limit, so the input runs into it
-    # within a fraction of a second instead of into the machine's memory.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "epiword", *argv],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        preexec_fn=_limit_child,
-        timeout=4 * _CPU_SECONDS,
-    )
+    proc = _run_limited(argv, _MEMORY_LIMIT)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == "error: out of memory\n"
+
+
+def test_stability_check_holds_one_window_at_a_time():
+    # At k = 4000 a set of every length-k window of the doubled prefixes
+    # takes tens of MB; one window scan per order fits well under 64 MB.
+    proc = _run_limited(["test", "fine", "*abc", "--k", "4000"], 64 * 2**20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "fine: yes\n", "")

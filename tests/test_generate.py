@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
+from math import ceil, floor
 
 import pytest
 from hypothesis import given
@@ -22,7 +23,7 @@ from epiword import (
     reversal,
     standard_prefix,
 )
-from epiword.generate import palindromic_walk
+from epiword.generate import palindromic_prefix
 from references import h_words, is_palindrome, palindromic_prefixes
 
 words = st.text(alphabet="abc", max_size=30)
@@ -114,14 +115,20 @@ def test_walk_matches_closure_walk():
     for _ in range(400):
         letters = "abcd"[: rng.randint(1, 4)]
         xs = "".join(rng.choice(letters) for _ in range(rng.randint(0, 16)))
-        assert list(palindromic_walk(xs)) == list(_walk_by_closure(xs)), xs
+        walk = list(_walk_by_closure(xs))
+        assert [palindromic_prefix(xs[:i]) for i in range(len(xs) + 1)] == walk, xs
+        # The first prefix at least min_len long, the last when none is.
+        min_len = rng.randint(0, len(walk[-1]) + 1)
+        want = next((u for u in walk if len(u) >= min_len), walk[-1])
+        assert palindromic_prefix(xs, min_len) == want, (xs, min_len)
 
 
 def test_one_letter_closure_steps_stay_fast():
     # Directive a*b grows by one letter per closure step, the worst case
-    # for a closure that rescans the word: tens of seconds at these sizes.
+    # for a closure that rescans or copies the word: tens of seconds at
+    # these sizes.
     start = time.perf_counter()
-    assert len(standard_prefix(DirectiveSpec("a", "b"), 40_000)) == 40_001
+    assert len(standard_prefix(DirectiveSpec("a", "b"), 10**6)) == 10**6 + 1
     assert time.perf_counter() - start < 2.0
     spec = EpiskewSpec.from_json(
         {"excluded_letter": "c", "inner_directive": "a*b", "p": 20_000, "suffix_index": 1}
@@ -199,6 +206,25 @@ def test_strict_directive_complexity():
 )
 def test_mechanical_prefix(alpha, rho, variant, n, expected):
     assert MechanicalSpec(alpha, rho, variant).prefix(n) == expected
+
+
+def _mechanical_by_fractions(alpha, rho, variant, n):
+    # The defining formula, in Fraction arithmetic letter by letter.
+    f = floor if variant == "floor" else ceil
+    return "".join(
+        "a" if f((i + 1) * alpha + rho) == f(i * alpha + rho) else "b" for i in range(n)
+    )
+
+
+def test_mechanical_prefix_matches_fraction_formula():
+    rng = random.Random(31)
+    for _ in range(2000):
+        alpha = Fraction(*sorted((rng.randint(0, 60), rng.randint(1, 60))))
+        rho = Fraction(*sorted((rng.randint(0, 60), rng.randint(1, 60))))
+        n = rng.randint(0, 80)
+        for variant in ("floor", "ceiling"):
+            got = MechanicalSpec(alpha, rho, variant).prefix(n)
+            assert got == _mechanical_by_fractions(alpha, rho, variant, n), (alpha, rho, variant)
 
 
 def test_mechanical_validation():
