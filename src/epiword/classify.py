@@ -18,15 +18,14 @@ that always trims. Acceptance yields a directive word, read off the base
 form the pass stops at, embedding the input in a generated standard word,
 plus a witness prefix u for which a·u is lexicographically at most min(w)
 under every order on the alphabet. Balance is the paper's lexicographic
-test on min(w) and max(w), which reads the two extremes letter by letter,
-in lockstep, only until their tails disagree; oracles.py counts the
-windows.
+test on min(w) and max(w): Duval's algorithm finds where each extreme
+starts, and one scan compares their tails; oracles.py counts the windows.
 """
 
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count, permutations
+from itertools import permutations
 
 from .generate import DirectiveSpec, palindromic_prefix
 from .words import (
@@ -35,8 +34,8 @@ from .words import (
     InputError,
     InconclusiveError,
     Order,
-    _least_prefix_starts,
     _least_suffix_start,
+    _least_suffix_start_duval,
     all_orders,
     alph,
     factors,
@@ -336,32 +335,28 @@ def sturmian_test(w: str) -> SturmianResult:
     a·u·a a prefix of min(w) and b·u·b a prefix of max(w).
 
     Such a u is unique when it exists; the common-prefix trace of
-    a^{-1}min(w) and b^{-1}max(w) is reported either way. The verdict and
-    the trace depend on min(w) and max(w) only up to the first letter where
-    those tails differ or one ends, so both are read letter by letter and
-    neither is built beyond that point.
+    a^{-1}min(w) and b^{-1}max(w) is reported either way. Both extremes are
+    least suffixes, of the key and of the reflected key, which Duval's
+    algorithm finds in linear time; one scan of the two tails then finds
+    the first letter where they differ or one ends.
     """
     validate_word(w)
     if alph(w) != {"a", "b"}:
         raise InputError("needs a binary word containing both a and b")
     ranks = _AB.key(w)
-    lo = _least_prefix_starts(ranks)
-    hi = _least_prefix_starts(ranks.translate(_REFLECT))
-    # The k-th letters of min(w) and max(w) are w[P[0] + k - 1] for the
-    # position lists P that lo and hi yield at step k; the first letters
-    # are a and b.
-    start = next(lo)[0]
-    next(hi)
-    for k in count(2):
-        mins, maxs = next(lo, None), next(hi, None)
-        after_min = w[mins[0] + k - 1] if mins else None
-        after_max = w[maxs[0] + k - 1] if maxs else None
-        if after_min is None or after_min != after_max:
-            break
-        start = mins[0]
-    common = w[start + 1 : start + k - 1]
-    # Below k the two tails agree, so an a·u·a / b·u·b split can only come
-    # at k itself, with u the whole common prefix.
+    # The tails a^{-1}min(w) and b^{-1}max(w) are w[lo:] and w[hi:].
+    lo = _least_suffix_start_duval(ranks) + 1
+    hi = _least_suffix_start_duval(ranks.translate(_REFLECT)) + 1
+    n = len(w)
+    span = n - max(lo, hi)
+    c = 0
+    while c < span and w[lo + c] == w[hi + c]:
+        c += 1
+    common = w[lo : lo + c]
+    after_min = w[lo + c] if lo + c < n else None
+    after_max = w[hi + c] if hi + c < n else None
+    # The tails agree up to c, so an a·u·a / b·u·b split can only come
+    # right after, with u the whole common prefix.
     if after_min == "a" and after_max == "b":
         return SturmianResult(False, common, common, after_min, after_max)
     return SturmianResult(True, None, common, after_min, after_max)

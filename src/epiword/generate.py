@@ -10,7 +10,6 @@ pal_closure, the direct construction, serves the oracles as a reference.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
 from math import inf, lcm
 
 from .words import (
@@ -164,14 +163,27 @@ class MechanicalSpec:
     def prefix(self, n: int) -> str:
         """First n letters: 'a' where the floor (or ceiling) difference is 0.
 
-        i·alpha + rho is x/d over the common denominator d, so its floor is
-        x // d and its ceiling -(-x // d): one integer division per letter.
+        i·alpha + rho is x/d over the common denominator d, and alpha's
+        numerator A is at most d. So the floor of x/d steps by one, giving
+        the letter b, exactly when carrying A into the remainder x mod d
+        wraps past d. The ceiling of x/d is the floor of (x + d - 1)/d, so
+        the ceiling variant carries from a remainder d - 1 higher. No letter
+        costs a division.
         """
         d = lcm(self.alpha.denominator, self.rho.denominator)
-        sign = 1 if self.variant == "floor" else -1
-        a, r = (sign * f.numerator * (d // f.denominator) for f in (self.alpha, self.rho))
-        floors = ((r + i * a) // d for i in range(n + 1))
-        return "".join("a" if lo == hi else "b" for lo, hi in pairwise(floors))
+        a, r = (f.numerator * (d // f.denominator) for f in (self.alpha, self.rho))
+        if self.variant == "ceiling":
+            r += d - 1
+        r %= d
+        letters = []
+        for _ in range(n):
+            r += a
+            if r >= d:
+                r -= d
+                letters.append("b")
+            else:
+                letters.append("a")
+        return "".join(letters)
 
 
 @dataclass(frozen=True)

@@ -136,7 +136,35 @@ def max_factor(w: str, k: int, order: Order) -> str:
     return w[start : start + k]
 
 
+def _least_suffix_start_duval(ranks: str) -> int:
+    """Start of the last Lyndon factor of ranks + chr(127), found by Duval's
+    algorithm (J. Algorithms 4, 1983) in linear time.
+
+    The sentinel ranks above every letter, so a suffix compares above its
+    own extensions and the last Lyndon factor, the least suffix, starts
+    where min(w) does on ranks = order.key(w).
+    """
+    s = ranks + chr(127)
+    n = len(s)
+    i = 0
+    while i < n:
+        # s[i:j] is a power of the Lyndon word s[i:i+j-k] and a prefix more.
+        j, k = i + 1, i
+        while j < n:
+            x, y = s[k], s[j]
+            if x > y:
+                break
+            k = i if x < y else k + 1
+            j += 1
+        while i <= k:
+            start, i = i, i + j - k
+    return start
+
+
 def _least_prefix_starts(ranks: str):
+    # The position-set loop, quadratic on long runs. Its one caller is
+    # _least_suffix_start (min_of, max_of and check_witness); the tests keep
+    # min_of and max_of as the independent check of the Duval path above.
     # Track the set P of start positions of the current least factor of
     # length k, yielding P for k = 1, 2, ... The least factor of length k+1
     # extends it as long as some position in P still has a letter to its

@@ -1,6 +1,6 @@
 """Reference helpers for the tests: the paper's nested palindromic prefixes
-u(i) and the words h(i), each a thin wrapper over a library path, an
-order-free rule for the witness check, and Duval's least suffix.
+u(i) and the words h(i), each a thin wrapper over a library path, and an
+order-free rule for the witness check.
 
 Not a test module; the tests import it by name.
 """
@@ -45,24 +45,3 @@ def witness_holds_order_free(w: str, u: str) -> bool:
                 break
     return True
 
-
-def least_suffix_start_duval(ranks: str) -> int:
-    """Start of the last Lyndon factor of ranks + chr(127), found by Duval's
-    algorithm (J. Algorithms 4, 1983) in linear time.
-
-    The sentinel ranks above every letter, so a suffix compares above its
-    own extensions and the last Lyndon factor, the least suffix, starts
-    where min_of(w) does on ranks = order.key(w). Checked against min_of and
-    max_of in tests/test_words.py.
-    """
-    s = ranks + chr(127)
-    i = 0
-    while i < len(s):
-        # s[i:j] is a power of the Lyndon word s[i:i+j-k] and a prefix more.
-        j, k = i + 1, i
-        while j < len(s) and s[k] <= s[j]:
-            k = i if s[k] < s[j] else k + 1
-            j += 1
-        while i <= k:
-            start, i = i, i + j - k
-    return start

@@ -158,12 +158,15 @@ def test_mechanical_exponent_bound(capsys, spec, code, out, err):
 
 
 def test_mechanical_letters_cost_no_fraction_arithmetic(capsys):
-    # The same bound as above at 1 000 letters: each letter is integer
-    # arithmetic, not Fraction arithmetic on million-digit numbers.
-    start = time.perf_counter()
-    argv = ("generate", "--mechanical", "1e-1000000:0", "--length", "1000")
-    assert run(capsys, *argv) == (0, "a" * 1000 + "\n", "")
-    assert time.perf_counter() - start < 1.0
+    # The same bound as above at many letters: each letter is a carry of
+    # integers, not arithmetic on million-digit numbers. The ceiling case
+    # took 1.7 s when each letter was a floor division of a negative
+    # numerator by the million-digit denominator (2-vCPU VM, Python 3.11.7).
+    for flags, expected in (((), "a" * 1000), (("--ceiling",), "b" + "a" * 19_999)):
+        start = time.perf_counter()
+        argv = ("generate", "--mechanical", "1e-1000000:0", "--length", str(len(expected)))
+        assert run(capsys, *argv, *flags) == (0, expected + "\n", ""), flags
+        assert time.perf_counter() - start < 1.0, flags
 
 
 def test_minmax(capsys):
@@ -223,6 +226,19 @@ def test_balanced(capsys):
     code, out, _ = run(capsys, "balanced", "aabababaabaab")
     assert code == 1
     assert "u=aba" in out
+
+
+def test_balanced_long_runs_stay_fast(capsys):
+    # The two extremes of a^k b a^k share a^(k-1) after their first
+    # letters; comparing them took about 30 s at this k when each letter
+    # cost a pass over the positions still in play.
+    k = 20_000
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "balanced", "a" * k + "b" + "a" * k, "--json")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out) == {"word": "a" * k + "b" + "a" * k, "balanced": True, "u": None}
+    assert elapsed < 0.5, elapsed
 
 
 def test_balanced_runs_one_sturmian_test_per_word(capsys, monkeypatch):

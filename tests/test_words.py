@@ -23,7 +23,7 @@ from epiword import (
     reversal,
     validate_word,
 )
-from references import least_suffix_start_duval
+from epiword.words import _least_suffix_start_duval
 
 words_abc = st.text(alphabet="abc", min_size=1, max_size=40)
 
@@ -215,8 +215,8 @@ def test_extremes_match_scans_exhaustive():
 def _duval_extremes_match(w, order):
     reverse = Order(order.letters[::-1])
     return (
-        w[least_suffix_start_duval(order.key(w)) :] == min_of(w, order)
-        and w[least_suffix_start_duval(reverse.key(w)) :] == max_of(w, order)
+        w[_least_suffix_start_duval(order.key(w)) :] == min_of(w, order)
+        and w[_least_suffix_start_duval(reverse.key(w)) :] == max_of(w, order)
     )
 
 
