@@ -316,9 +316,10 @@ def is_balanced(w: str) -> bool:
     Pirillo's characterization, iff sturmian_test finds no u with a·u·a a
     prefix of min(w) and b·u·b a prefix of max(w)."""
     validate_word(w)
-    if not alph(w) <= {"a", "b"}:
+    letters = alph(w)
+    if not letters <= {"a", "b"}:
         raise InputError(f"balance is defined over letters a, b: {w!r}")
-    return len(set(w)) < 2 or sturmian_test(w).sturmian
+    return len(letters) < 2 or _sturmian(w).sturmian
 
 
 @dataclass(frozen=True)
@@ -343,6 +344,11 @@ def sturmian_test(w: str) -> SturmianResult:
     validate_word(w)
     if alph(w) != {"a", "b"}:
         raise InputError("needs a binary word containing both a and b")
+    return _sturmian(w)
+
+
+def _sturmian(w: str) -> SturmianResult:
+    """sturmian_test on a checked word over both a and b."""
     ranks = _AB.key(w)
     # The tails a^{-1}min(w) and b^{-1}max(w) are w[lo:] and w[hi:].
     lo = _least_suffix_start_duval(ranks) + 1
@@ -398,57 +404,53 @@ def wide_sense_check(prefix: str) -> WideSenseResult:
     return WideSenseResult(False, best)
 
 
-def _doubling_minima(source, k: int, unsettled: str):
-    """Prefixes of the generated word, doubling in length up to the letter
-    budget, each with its per-order length-k minima and whether those equal
-    the previous prefix's (settled). Past the budget, InconclusiveError
-    reads "length-k minima <unsettled> <budget> letters"."""
+def _window_minima(source, k: int):
+    """The source's prefix of window(k) letters, which holds every length-k
+    factor of its infinite word, and each order's least length-k window of
+    it: the least length-k factor of the infinite word.
+
+    Every window is at least k letters long, so past the letter budget the
+    window need not be computed; where it is, InconclusiveError names it.
+    """
     if k < 1:
         raise InputError("k must be positive")
-    length = max(4 * k, 64)
-    prev = None
-    while length <= STABILITY_BUDGET:
-        prefix = source.prefix(length)
-        minima = {order: min_factor(prefix, k, order) for order in all_orders(alph(prefix))}
-        yield prefix, minima, minima == prev
-        prev = minima
-        length *= 2
-    raise InconclusiveError(
-        f"length-{k} minima {unsettled} {STABILITY_BUDGET} letters"
-    )
+    window = source.window(k) if k <= STABILITY_BUDGET else None
+    if window is None or window > STABILITY_BUDGET:
+        # A window too long for the budget can have thousands of digits.
+        size = f"{window}-letter " if window is not None and window.bit_length() <= 64 else ""
+        raise InconclusiveError(
+            f"length-{k} factors need a {size}window past the {STABILITY_BUDGET}-letter budget"
+        )
+    prefix = source.prefix(window)
+    return prefix, {order: min_factor(prefix, k, order) for order in all_orders(alph(prefix))}
 
 
 def check_min_inequality(d: DirectiveSpec, k: int) -> bool:
     """Check a·t <= min(t) at cutoff k for the directed standard word t,
     for every order; strict directives must achieve equality.
 
-    The directed word is standard by construction, so its length-k minima
-    never drop below a·t cut to k; once every order's minimum over a finite
-    prefix reaches that floor, the strict equality is exactly converged.
-    Stabilization alone is not trusted for equality: the witnessing factor
-    can first occur far beyond where the minima stop moving.
+    The minima are read off the prefix that holds every length-k factor of
+    t. Each order's least letter a occurs in t and so starts a length-k
+    factor: the least one starts with a, as a·t does, and the two compare
+    on the rest.
     """
-    for prefix, minima, settled in _doubling_minima(d, k, "not settled within"):
-        floors = {order: order.min_letter + prefix[: k - 1] for order in minima}
-        if not all(o.key(floors[o]) <= o.key(mk) for o, mk in minima.items()):
-            return False
-        if minima == floors if d.is_strict else settled:
-            return True
+    prefix, minima = _window_minima(d, k)
+    floors = {order: order.min_letter + prefix[: k - 1] for order in minima}
+    if not all(o.key(floors[o]) <= o.key(mk) for o, mk in minima.items()):
+        return False
+    return not d.is_strict or minima == floors
 
 
 def check_fine_prefix(source, k: int) -> bool:
     """True iff min(t | k) = a·s for one shared s across all orders.
 
-    The minima are read off the first doubled prefix on which they repeat
-    those of the prefix before; InconclusiveError past the letter budget.
+    The minima are read off the prefix that holds every length-k factor of
+    t. Each order's least letter a occurs in the infinite word t and so
+    starts a length-k factor; the least one starts with a, which needs no
+    test, and only the tails s are compared.
     """
-    for _, minima, settled in _doubling_minima(source, k, "still changing at"):
-        if settled:
-            break
+    _, minima = _window_minima(source, k)
     # One order per permutation: fewer than two orders means one letter.
     if len(minima) < 2:
         raise InputError("fineness needs at least two letters")
-    # Settled minima belong to a prefix P and its first half H, so both have
-    # one alphabet and every letter occurs in H, before |H| <= |P| - k: each
-    # order's least window starts with its least letter, which needs no test.
     return len({mk[1:] for mk in minima.values()}) == 1

@@ -1,6 +1,7 @@
 """Word generators: letter morphisms, directive words, mechanical words, and
 non-recurrent (skew-style) constructions; each source spec generates through
-its own prefix(n).
+its own prefix(n), and the directive, skew and episkew specs name, through
+window(k), a prefix length that holds every length-k factor of their word.
 
 A directive word drives the iterated palindromic closure u(n+1) = (u(n)·x)^+,
 whose nested palindromic prefixes converge to a standard episturmian word.
@@ -113,6 +114,24 @@ class DirectiveSpec:
         """Exactly the first n letters of the directed standard word."""
         return standard_prefix(self, n)[:n]
 
+    def window(self, k: int) -> int:
+        """A prefix length holding every length-k factor of the directed word.
+
+        Let u(i) = Pal(x(1)···x(i-1)), j the least index with |u(j)| >= k - 1
+        and m >= j the least index such that x(j)···x(m) holds every letter
+        of x(j)x(j+1)···; the window is |Pal(x(1)···x(m))|. Write
+        w = x(1)···x(j-1) and mu_w for the composed psi morphisms of w.
+        Then t = mu_w(t') for the word t' directed by x(j)x(j+1)···, and by
+        Justin's formula Pal(w·v) = mu_w(Pal(v))·Pal(w) (RAIRO ITA 39,
+        2005), Pal(w·y) = mu_w(y)·u(j) starts with u(j) for each letter y;
+        so mu_w(s)·u(j) starts with u(j) for every word s. A length-k factor
+        starting in the block mu_w(y) of t = mu_w(y(1))mu_w(y(2))··· thus
+        lies in mu_w(y)·u(j) = Pal(w·y), as |u(j)| >= k - 1. And
+        Pal(x(1)···x(m)) = mu_w(Pal(x(j)···x(m)))·u(j) holds each such block,
+        since Pal(x(j)···x(m)) holds every letter y of t'.
+        """
+        return sum(_window_counts(self, k).values())
+
 
 def palindromic_prefix(letters, min_len=inf) -> str:
     """The first nested palindromic prefix u(1) = empty, u(i+1) = (u(i)·x(i))^+
@@ -131,6 +150,28 @@ def palindromic_prefix(letters, min_len=inf) -> str:
         before[x] = len(u)
         u += x.encode() + u if cut is None else u[cut:]
     return u.decode()
+
+
+def _window_counts(d: DirectiveSpec, k: int) -> dict[str, int]:
+    """Letter counts of the directive's factor window Pal(x(1)···x(m)) at k
+    (DirectiveSpec.window), in integers: each step is the one that
+    palindromic_prefix appends, on counts instead of letters."""
+    if d.is_finite:
+        raise InsufficientDirectiveError(f"directive {d} is finite: it directs no infinite word")
+    counts, before, rest = {}, {}, None
+    for i, x in enumerate(d.letters()):
+        if rest is None and sum(counts.values()) >= k - 1:
+            rest = set(d.preperiod[i:] + d.period)
+        cut = before.get(x)
+        before[x] = counts
+        if cut is None:
+            counts = {c: 2 * n for c, n in counts.items()} | {x: 1}
+        else:
+            counts = {c: 2 * n - cut.get(c, 0) for c, n in counts.items()}
+        if rest is not None:
+            rest.discard(x)
+            if not rest:
+                return counts
 
 
 def standard_prefix(d: DirectiveSpec, min_len: int) -> str:
@@ -206,6 +247,11 @@ class EventuallyPeriodicSpec:
         reps = max(0, -((len(self.preperiod) - n) // len(self.period)))
         return (self.preperiod + self.period * reps)[:n]
 
+    def window(self, k: int) -> int:
+        """A prefix length holding every length-k factor: one starting at
+        each position up to the end of the first period."""
+        return len(self.preperiod) + len(self.period) + k - 1
+
 
 @dataclass(frozen=True)
 class EpiskewSpec:
@@ -278,3 +324,12 @@ class EpiskewSpec:
         v = self.head()
         image = apply_morphism(self.mu, self.inner_directive.prefix(max(0, n - len(v))))
         return (v + image)[:n]
+
+    def window(self, k: int) -> int:
+        """A prefix length holding every length-k factor: v·mu(s[:W]), W the
+        inner directive's window. A factor starting in v ends within k - 1
+        <= W letters after it, and one inside mu(s) lies in mu(f) for a
+        length-k factor f of s. Counted, not built: |mu(c)| per letter."""
+        counts = _window_counts(self.inner_directive, k)
+        image = sum(n * len(apply_morphism(self.mu, c)) for c, n in counts.items())
+        return len(self.head()) + image

@@ -38,7 +38,6 @@ from epiword import (
     sturmian_test,
     wide_sense_check,
 )
-from epiword.classify import _doubling_minima
 from epiword.generate import palindromic_prefix
 from epiword.oracles import (
     _balanced_by_windows,
@@ -707,17 +706,29 @@ def _seeded_fine_sources(rng, n):
         yield EpiskewSpec(word(0, 2, "abcd"), "c", inner, p, rng.randint(1, p + 1))
 
 
-def test_settled_minima_start_with_their_least_letter():
-    # check_fine_prefix tests only the tails of the settled minima: every
-    # letter of the settled prefix occurs in its first half, so each order's
-    # least length-k window starts with that order's least letter.
-    for source in _seeded_fine_sources(random.Random(19), 80):
-        for k in (1, 2, 5, 13, 40):
-            for _, minima, settled in _doubling_minima(source, k, "unsettled at"):
-                if settled:
-                    break
-            for order, mk in minima.items():
-                assert mk.startswith(order.min_letter), (source, k, order)
+def test_window_holds_every_factor():
+    # The window prefix has every length-k factor of a reference prefix many
+    # times longer, so each order's least window is that of the infinite
+    # word, and it starts with the order's least letter.
+    rng = random.Random(23)
+    sources = [*_seeded_fine_sources(random.Random(19), 80)]
+    for _ in range(40):
+        # Five-letter directives; in half of them e occurs only in the
+        # preperiod, one of them 100 letters in.
+        pre, letters = "".join(rng.choices("abcde", k=rng.randint(0, 3))), "abcde"
+        if rng.random() < 0.5:
+            pre, letters = pre + "a" * 100 + "e", "abcd"
+        period = "".join(rng.sample(letters, len(letters))) + rng.choice(["", "ab"])
+        sources.append(DirectiveSpec(pre, period))
+    for source in sources:
+        for k in rng.sample((1, 2, 5, 13, 40, 200), 2):
+            window = source.window(k)
+            prefix = source.prefix(window)
+            reference = source.prefix(16 * window + 4000)
+            windows = factors(prefix, k)
+            assert windows == factors(reference, k), (source, k)
+            for order in all_orders(alph(prefix)):
+                assert min(windows, key=order.key)[0] == order.min_letter, (source, k, order)
 
 
 def test_prefix_checks_report_inconclusive_on_tiny_budget(monkeypatch):
@@ -725,9 +736,13 @@ def test_prefix_checks_report_inconclusive_on_tiny_budget(monkeypatch):
     from epiword import InconclusiveError
 
     monkeypatch.setattr(classify, "STABILITY_BUDGET", 32)
-    with pytest.raises(InconclusiveError, match="still changing at 32 letters"):
+    # *abc at k = 12 has a 95-letter window; past the budget, a 50-letter
+    # cutoff needs no window to know it is longer.
+    message = "^length-12 factors need a 95-letter window past the 32-letter budget$"
+    with pytest.raises(InconclusiveError, match=message):
         check_fine_prefix(DirectiveSpec("", "abc"), 12)
-    with pytest.raises(InconclusiveError, match="not settled within 32 letters"):
+    message = "^length-50 factors need a window past the 32-letter budget$"
+    with pytest.raises(InconclusiveError, match=message):
         check_min_inequality(DirectiveSpec("", "ab"), 50)
     # k is checked before the budget: a zero cutoff is bad input, not inconclusive.
     with pytest.raises(InputError, match="k must be positive"):

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from epiword.cli import main
+from epiword import DirectiveSpec, all_orders, alph, factors
+from epiword.cli import _parse_source, main
 
 
 def run(capsys, *argv):
@@ -130,9 +131,9 @@ _EPISKEW = '{"mu": "", "excluded_letter": "c", "inner_directive": "*ab", "p": 0,
          "excluded_letter must be a single letter"),
         (["generate", "--episkew", _EPISKEW.replace('"p": 0', '"p": -1'), "--length", "3"],
          "p must be non-negative"),
-        # The skew head shows all nine letters at once; a directive would
-        # first run all 8! orders on its eight-letter prefix.
         (["test", "fine", "abcdefghi,a", "--k", "1"],
+         f"alphabet larger than 8: {list('abcdefghi')}"),
+        (["test", "fine", "*abcdefghi", "--k", "1"],
          f"alphabet larger than 8: {list('abcdefghi')}"),
     ],
 )
@@ -209,6 +210,39 @@ def test_test_fine(capsys):
     assert code == 1
     code, _, _ = run(capsys, "test", "fine", "b,a", "--k", "6")
     assert code == 0
+
+
+_FIBONACCI_300 = DirectiveSpec("", "ab").prefix(300)
+
+
+@pytest.mark.parametrize(
+    "spec, fine",
+    [
+        (_FIBONACCI_300 + ",c", False),
+        (_FIBONACCI_300 + ",cab", False),
+        ("a," + "a" * 300 + "b", True),
+        ("a" * 300 + "*b", True),
+        ("a" * 200 + "b*ab", True),
+        ("*" + "a" * 300 + "b", True),
+    ],
+    ids=["F,c", "F,cab", "a,a^300b", "a^300*b", "a^200b*ab", "*a^300b"],
+)
+def test_fine_reads_letters_that_first_occur_late(capsys, spec, fine):
+    # Each source shows a letter or factor only after 200 letters or more.
+    # The answer is checked against every order's least length-4 window of
+    # a 10^5-letter prefix, picked from the window set by brute force.
+    prefix = _parse_source(spec).prefix(10**5)
+    windows = factors(prefix, 4)
+    tails = {min(windows, key=order.key)[1:] for order in all_orders(alph(prefix))}
+    assert (len(tails) == 1) == fine
+    expected = (0, "fine: yes\n", "") if fine else (1, "fine: no\n", "")
+    assert run(capsys, "test", "fine", spec, "--k", "4") == expected
+
+
+def test_fine_needs_an_infinite_directive(capsys):
+    assert run(capsys, "test", "fine", "abc", "--k", "4") == (
+        2, "", "error: directive abc is finite: it directs no infinite word\n"
+    )
 
 
 def test_witness(capsys):
@@ -427,6 +461,14 @@ def test_inconclusive_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "test", "fine", "*abc", "--k", "12")
     assert code == 3
     assert "inconclusive" in err
+
+
+def test_inconclusive_on_a_window_too_long_to_print(capsys):
+    # c first occurs after 24 000 letters of directive, so the window has
+    # about 5 000 digits, more than Python turns into a string by default.
+    code, out, err = run(capsys, "test", "fine", "ab" * 12_000 + "c*c", "--k", "4")
+    assert (code, out) == (3, "")
+    assert err == "inconclusive: length-4 factors need a window past the 65536-letter budget\n"
 
 
 def test_out_of_memory_is_an_input_error(capsys, monkeypatch):
