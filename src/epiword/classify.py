@@ -272,7 +272,7 @@ def is_finite_episturmian(w: str) -> Verdict:
     if reason is not None:
         return Verdict(False, None, reason)
     cert = _certificate(w, chain, base)
-    if not check_witness(w, cert.witness_u):
+    if not _witness_holds(w, cert.witness_u, alph(w) | alph(cert.witness_u)):
         return Verdict(False, None, RejectReason.WITNESS_CHECK_FAILED)
     return Verdict(True, cert, None)
 
@@ -293,6 +293,11 @@ def check_witness(w: str, u: str) -> bool:
     letters = alph(w) | alph(u)
     if len(letters) > MAX_ALPHABET:
         raise InputError(f"alphabet larger than {MAX_ALPHABET}")
+    return _witness_holds(w, u, letters)
+
+
+def _witness_holds(w: str, u: str, letters) -> bool:
+    """check_witness on checked words, letters being Alph(w) ∪ Alph(u)."""
     codes = sorted(map(ord, letters))
     # (table, least suffix of w's key) for each order whose least letter,
     # ranked chr(0), occurs in w.

@@ -128,7 +128,8 @@ class DirectiveSpec:
         starting in the block mu_w(y) of t = mu_w(y(1))mu_w(y(2))··· thus
         lies in mu_w(y)·u(j) = Pal(w·y), as |u(j)| >= k - 1. And
         Pal(x(1)···x(m)) = mu_w(Pal(x(j)···x(m)))·u(j) holds each such block,
-        since Pal(x(j)···x(m)) holds every letter y of t'.
+        since Pal(x(j)···x(m)) holds every letter y of t'. Past 2^64 letters
+        the count stops, and the length returned is a lower bound.
         """
         return sum(_window_counts(self, k).values())
 
@@ -154,13 +155,15 @@ def palindromic_prefix(letters, min_len=inf) -> str:
 
 def _window_counts(d: DirectiveSpec, k: int) -> dict[str, int]:
     """Letter counts of the directive's factor window Pal(x(1)···x(m)) at k
-    (DirectiveSpec.window), in integers: each step is the one that
-    palindromic_prefix appends, on counts instead of letters."""
+    (DirectiveSpec.window), or of its first palindromic prefix of 2^64 letters
+    or more, in integers: each step is palindromic_prefix's, on counts."""
     if d.is_finite:
         raise InsufficientDirectiveError(f"directive {d} is finite: it directs no infinite word")
     counts, before, rest = {}, {}, None
     for i, x in enumerate(d.letters()):
-        if rest is None and sum(counts.values()) >= k - 1:
+        if (length := sum(counts.values())) >= 2**64:
+            return counts
+        if rest is None and length >= k - 1:
             rest = set(d.preperiod[i:] + d.period)
         cut = before.get(x)
         before[x] = counts
@@ -329,7 +332,8 @@ class EpiskewSpec:
         """A prefix length holding every length-k factor: v·mu(s[:W]), W the
         inner directive's window. A factor starting in v ends within k - 1
         <= W letters after it, and one inside mu(s) lies in mu(f) for a
-        length-k factor f of s. Counted, not built: |mu(c)| per letter."""
+        length-k factor f of s. Counted, not built: |mu(c)| per letter; mu
+        erases no letter, so an inner lower bound past 2^64 gives one here."""
         counts = _window_counts(self.inner_directive, k)
         image = sum(n * len(apply_morphism(self.mu, c)) for c, n in counts.items())
         return len(self.head()) + image

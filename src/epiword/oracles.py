@@ -112,11 +112,11 @@ def discovery_table(letters, max_len: int) -> dict[str, int]:
     table: dict[str, int] = {}
 
     def visit(u: str, parent_len: int, depth: int):
-        # u is a palindrome with the palindrome u[:parent_len] as a prefix,
-        # so it also ends with it: a window inside either copy is a factor
-        # of the parent, already recorded at a smaller depth.
+        # u is a palindrome that starts, and so ends, with the palindrome
+        # u[:parent_len]: a window inside either copy is the parent's, already
+        # recorded, and one ending past mirror + max_len - 1 is that or too long.
         mirror = len(u) - parent_len
-        for end in range(parent_len + 1, len(u) + 1):
+        for end in range(parent_len + 1, min(len(u), mirror + max_len - 1) + 1):
             for size in range(max(1, end - mirror + 1), min(max_len, end) + 1):
                 f = u[end - size : end]
                 old = table.get(f)
@@ -180,21 +180,12 @@ class SweepReport:
         }
 
 
-def _episturmian_oracle_by_alphabet(max_len: int):
-    # One discovery table per word alphabet keeps the per-word contract
-    # (directives over Alph(w) only) while sharing the enumeration. A factor
-    # counts as found when its first discovery depth is within the per-word
-    # cap, matching oracle_is_finite_episturmian.
-    tables: dict[frozenset, dict[str, int]] = {}
-
-    def verdict(w: str) -> bool:
-        key = frozenset(w)
-        if key not in tables:
-            tables[key] = discovery_table(key, max_len)
-        depth = tables[key].get(w)
-        return depth is not None and depth <= len(w)
-
-    return verdict
+def _episturmian_reference(letters, max_len: int):
+    """The oracle's verdict, first discovery depth at most |w|, on every word
+    over the letters up to max_len from one table: directives over letters
+    outside Alph(w) find only words that directives over Alph(w) find within |w|."""
+    table = discovery_table(letters, max_len)
+    return lambda w: table.get(w, max_len + 1) <= len(w)
 
 
 def sweep(check: str, alphabet_size: int, max_len: int) -> SweepReport:
@@ -223,7 +214,7 @@ def sweep(check: str, alphabet_size: int, max_len: int) -> SweepReport:
         balanced = _balanced_levels(max_len)
         reference = lambda w: w in balanced[len(w)]
     else:
-        reference = _episturmian_oracle_by_alphabet(max_len)
+        reference = _episturmian_reference(letters, max_len)
     total = 0
     mismatches = []
     for n in range(1, max_len + 1):

@@ -14,6 +14,7 @@ from epiword import (
     DirectiveSpec,
     EpiskewSpec,
     EventuallyPeriodicSpec,
+    InconclusiveError,
     InputError,
     Order,
     RejectReason,
@@ -41,7 +42,7 @@ from epiword import (
 from epiword.generate import palindromic_prefix
 from epiword.oracles import (
     _balanced_by_windows,
-    _episturmian_oracle_by_alphabet,
+    _episturmian_reference,
     check_certificate,
     oracle_check_witness,
 )
@@ -366,9 +367,10 @@ def test_ternary_matches_oracle_exhaustive():
     "letters, max_len, accepted", [("abcd", 8, 4220), ("abcde", 6, 2890)]
 )
 def test_decider_matches_discovery_table_past_three_letters(letters, max_len, accepted):
-    # The ternary sweep's reference, one discovery table per word alphabet,
-    # on every word over four letters up to n = 8 and five up to n = 6.
-    reference = _episturmian_oracle_by_alphabet(max_len)
+    # The ternary sweep's reference, one discovery table over all the
+    # letters, on every word over four letters up to n = 8 and five up to
+    # n = 6.
+    reference = _episturmian_reference(letters, max_len)
     count = 0
     for n in range(1, max_len + 1):
         for tup in product(letters, repeat=n):
@@ -733,7 +735,6 @@ def test_window_holds_every_factor():
 
 def test_prefix_checks_report_inconclusive_on_tiny_budget(monkeypatch):
     import epiword.classify as classify
-    from epiword import InconclusiveError
 
     monkeypatch.setattr(classify, "STABILITY_BUDGET", 32)
     # *abc at k = 12 has a 95-letter window; past the budget, a 50-letter
@@ -749,6 +750,21 @@ def test_prefix_checks_report_inconclusive_on_tiny_budget(monkeypatch):
         check_fine_prefix(DirectiveSpec("", "abc"), 0)
     with pytest.raises(InputError, match="k must be positive"):
         check_min_inequality(DirectiveSpec("", "ab"), 0)
+
+
+def test_window_past_any_budget_stops_counting():
+    # c first occurs after 10^5 letters of ab, by when the window count
+    # would have 69 427 bits; it stops at 2^64 letters, where the message
+    # names no size.
+    late = DirectiveSpec("ab" * 50000 + "c", "c")
+    assert late.window(30) >= 2**64
+    message = "^length-30 factors need a window past the 65536-letter budget$"
+    for source in (late, EpiskewSpec("a", "d", late, 0, 1)):
+        start = time.perf_counter()
+        with pytest.raises(InconclusiveError, match=message):
+            check_fine_prefix(source, 30)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.05, (source, elapsed)
 
 
 def test_witness_inequality_survives_extension():

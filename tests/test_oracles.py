@@ -58,9 +58,27 @@ def test_no_factor_first_found_deeper_than_its_length(letters, max_len, checked)
     assert not late
 
 
-@pytest.mark.parametrize("letters, max_len", [("a", 6), ("ab", 12), ("abc", 8), ("abcd", 5)])
+@pytest.mark.parametrize(
+    "letters, max_len", [("a", 6), ("ab", 12), ("abc", 8), ("abcd", 5), ("abcde", 5)]
+)
 def test_discovery_table_matches_full_scan(letters, max_len):
     assert discovery_table(letters, max_len) == _discovery_table_full_scan(letters, max_len)
+
+
+@pytest.mark.parametrize("letters, max_len", [("abc", 8), ("abcd", 7)])
+def test_one_table_reference_matches_per_alphabet_tables(letters, max_len):
+    # The sweep's reference walks directives over all its letters once; the
+    # oracle's contract is directives over Alph(w) up to depth |w|, here one
+    # discovery table per word alphabet.
+    reference = oracles._episturmian_reference(letters, max_len)
+    tables = {}
+    for n in range(1, max_len + 1):
+        for w in map("".join, product(letters, repeat=n)):
+            key = frozenset(w)
+            if key not in tables:
+                tables[key] = discovery_table(key, max_len)
+            depth = tables[key].get(w)
+            assert reference(w) == (depth is not None and depth <= n), w
 
 
 def test_discovery_table_agrees_with_oracle():
