@@ -93,6 +93,10 @@ class Verdict:
         }
 
 
+# One shared verdict per reason: a rejection carries nothing else.
+_REJECTED = {reason: Verdict(False, None, reason) for reason in RejectReason}
+
+
 def separating_letters(w: str) -> set[str]:
     """Letters of w occurring in every length-2 factor of w.
 
@@ -270,10 +274,10 @@ def is_finite_episturmian(w: str) -> Verdict:
         raise InputError(f"alphabet larger than {MAX_ALPHABET}")
     reason, chain, base = _reduce(_runs(w), certify=True)
     if reason is not None:
-        return Verdict(False, None, reason)
+        return _REJECTED[reason]
     cert = _certificate(w, chain, base)
     if not _witness_holds(w, cert.witness_u, alph(w) | alph(cert.witness_u)):
-        return Verdict(False, None, RejectReason.WITNESS_CHECK_FAILED)
+        return _REJECTED[RejectReason.WITNESS_CHECK_FAILED]
     return Verdict(True, cert, None)
 
 

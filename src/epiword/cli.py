@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .classify import (
     check_fine_prefix,
@@ -72,6 +71,9 @@ def _input_words(arg: str) -> list[str]:
 
 
 def _parse_mechanical(text: str, ceiling: bool) -> MechanicalSpec:
+    # Only this parse needs fractions (and the decimal module it loads).
+    from fractions import Fraction
+
     for digits in _EXPONENT.findall(text.replace("_", "")):
         if len(digits) > 7 or int(digits or 0) > _MAX_EXPONENT:  # 7 digits hold 10^6
             raise InputError(f"bad mechanical spec {text!r}: exponent above {_MAX_EXPONENT}")

@@ -9,9 +9,11 @@ palindromic_prefix appends each step, by Justin's formula, to one buffer;
 pal_closure, the direct construction, serves the oracles as a reference.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
-from fractions import Fraction
 from math import inf, lcm
+from typing import TYPE_CHECKING
 
 from .words import (
     InputError,
@@ -19,6 +21,10 @@ from .words import (
     reversal,
     validate_word,
 )
+
+if TYPE_CHECKING:
+    # Annotation only: the CLI loads fractions when it parses a mechanical spec.
+    from fractions import Fraction
 
 
 def psi(a: str, w: str) -> str:

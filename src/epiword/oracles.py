@@ -3,16 +3,17 @@
 The membership oracle enumerates directive words outright and generates the
 words they direct; directive enumeration records, at each closure step, only
 the windows outside the mirrored parent, since the rest are factors of the
-parent. The balance oracle counts b in every window, on the one-letter
-extensions of balanced words only. Sweeps compare a decider against its
-oracle over every word up to a length budget. The certificate checker
+parent. The balance oracle grows the balanced words a letter at a time,
+keeping per word the least and greatest count of b per window length and
+widening them by the new suffixes' counts. Sweeps compare a decider against
+its oracle over every word up to a length budget. The certificate checker
 rebuilds an accepted word's embedding with pal_closure and checks its
 witness order by order, with an Order, a min_of and a lex_le per order.
 """
 
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate, product
+from itertools import product
 from operator import sub
 
 from .classify import Certificate, is_balanced, is_finite_episturmian
@@ -131,26 +132,32 @@ def discovery_table(letters, max_len: int) -> dict[str, int]:
     return table
 
 
-def _balanced_by_windows(w: str) -> bool:
-    """Balance by definition: same-length windows differ by <= 1 in b's."""
-    prefix = list(accumulate((c == "b" for c in w), initial=0))
-    for n in range(1, len(w)):
-        counts = list(map(sub, prefix[n:], prefix))
-        if max(counts) - min(counts) > 1:
-            return False
-    return True
-
-
 def _balanced_levels(max_len: int) -> list[set[str]]:
     """The balanced binary words of each length 0..max_len.
 
-    Length n+1 keeps the words w·c, w balanced of length n, that pass the
-    window count: every window of w is a window of w·c, so an unbalanced
-    word has no balanced extension.
+    Each balanced word w keeps its band, the least and greatest count of b
+    over its windows of each length, and the counts of b in its suffixes.
+    Every window of w·c but its |w|+1 suffixes is a window of w, so w·c is
+    balanced exactly when w's band, widened by those suffix counts, is
+    nowhere more than 1 wide: an O(|w|) check per extension. An unbalanced
+    word has no balanced extension, so each level extends the one before.
     """
     levels = [{""}]
+    bands = {"": ((), (), ())}
     for _ in range(max_len):
-        levels.append({w + c for w in levels[-1] for c in "ab" if _balanced_by_windows(w + c)})
+        grown = {}
+        for w, (lo, hi, suffixes) in bands.items():
+            # A suffix of w·c of length k+1 is one of w of length k, then c.
+            for c, counts in (
+                ("a", (0, *suffixes)),
+                ("b", (1, *[s + 1 for s in suffixes])),
+            ):
+                lo2 = (*map(min, lo, counts), counts[-1])
+                hi2 = (*map(max, hi, counts), counts[-1])
+                if max(map(sub, hi2, lo2)) <= 1:
+                    grown[w + c] = lo2, hi2, counts
+        bands = grown
+        levels.append(set(grown))
     return levels
 
 

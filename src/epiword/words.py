@@ -161,33 +161,24 @@ def _least_suffix_start_duval(ranks: str) -> int:
     return start
 
 
-def _least_prefix_starts(ranks: str):
-    # The position-set loop, quadratic on long runs. Its one caller is
-    # _least_suffix_start (min_of, max_of and check_witness); the tests keep
-    # min_of and max_of as the independent check of the Duval path above.
-    # Track the set P of start positions of the current least factor of
-    # length k, yielding P for k = 1, 2, ... The least factor of length k+1
-    # extends it as long as some position in P still has a letter to its
-    # right; the chain stops exactly when P has shrunk to the suffix
-    # occurrence, which is then unioccurrent and is the least suffix. So the
-    # k-th letter of that suffix is ranks[P[0] + k - 1], read at step k.
+def _least_suffix_start(ranks: str) -> int:
+    # The position-set loop, quadratic on long runs, serving min_of, max_of
+    # and check_witness; the tests keep min_of and max_of as the independent
+    # check of the Duval path above. At step k, positions holds the starts
+    # of the least factor of length k. The least factor of length k+1
+    # extends it as long as some position still has a letter to its right;
+    # the chain stops exactly when positions has shrunk to the suffix
+    # occurrence, which is then unioccurrent and is the least suffix.
     if not ranks:
         raise InputError("empty word has no extremal factor")
     pick = min(ranks)
     positions = [i for i, r in enumerate(ranks) if r == pick]
     k, n = 1, len(ranks)
-    yield positions
     while extendable := [p for p in positions if p + k < n]:
         nxt = [ranks[p + k] for p in extendable]
         pick = min(nxt)
         positions = [p for p, r in zip(extendable, nxt) if r == pick]
         k += 1
-        yield positions
-
-
-def _least_suffix_start(ranks: str) -> int:
-    for positions in _least_prefix_starts(ranks):
-        pass
     return positions[0]
 
 

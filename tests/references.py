@@ -1,11 +1,12 @@
 """Reference helpers for the tests: the paper's nested palindromic prefixes
-u(i) and the words h(i), each a thin wrapper over a library path, and an
-order-free rule for the witness check.
+u(i) and the words h(i), each a thin wrapper over a library path, an
+order-free rule for the witness check, and balance by counting windows.
 
 Not a test module; the tests import it by name.
 """
 
-from itertools import islice
+from itertools import accumulate, islice
+from operator import sub
 
 from epiword import apply_morphism
 from epiword.generate import palindromic_prefix
@@ -45,3 +46,12 @@ def witness_holds_order_free(w: str, u: str) -> bool:
                 break
     return True
 
+
+def balanced_by_windows(w: str) -> bool:
+    """Balance by definition: same-length windows differ by <= 1 in b's."""
+    prefix = list(accumulate((c == "b" for c in w), initial=0))
+    for n in range(1, len(w)):
+        counts = list(map(sub, prefix[n:], prefix))
+        if max(counts) - min(counts) > 1:
+            return False
+    return True

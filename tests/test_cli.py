@@ -385,17 +385,35 @@ def test_words_from_stdin(capsys, monkeypatch):
     assert lines[1] == "not balanced: u=aba"
 
 
-def _run_checkout(*argv, **env):
+def _run_python(*args, **env):
     # The subprocess does not see pytest's pythonpath setting, so it gets
     # the checkout's src on PYTHONPATH and runs from an uninstalled tree.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "epiword", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path, **env),
     )
+
+
+def _run_checkout(*argv, **env):
+    return _run_python("-m", "epiword", *argv, **env)
+
+
+def test_fractions_loaded_only_for_a_mechanical_spec():
+    # fractions, with the decimal module it loads, took about 1 ms of every
+    # start-up (2-vCPU VM, Python 3.11.7); only a mechanical spec needs it.
+    script = (
+        "import sys, epiword, epiword.cli\n"
+        "print('fractions' in sys.modules)\n"
+        "epiword.cli.main(['generate', '--mechanical', '2/5', '--length', '5'])\n"
+        "print('fractions' in sys.modules)\n"
+    )
+    proc = _run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "aabab", "True"]
 
 
 def test_output_independent_of_hash_seed():

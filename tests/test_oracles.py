@@ -17,7 +17,8 @@ from epiword import (
     pal_closure,
     sweep,
 )
-from epiword.oracles import _balanced_by_windows, _balanced_levels, check_certificate
+from epiword.oracles import _balanced_levels, check_certificate
+from references import balanced_by_windows
 
 
 def _discovery_table_full_scan(letters, max_len):
@@ -152,7 +153,7 @@ def test_balanced_levels():
     assert four == {w for w in ("".join(t) for t in product("ab", repeat=4)) if is_balanced(w)}
     for n in range(15):
         words = ("".join(t) for t in product("ab", repeat=n))
-        assert levels[n] == {w for w in words if _balanced_by_windows(w)}, n
+        assert levels[n] == {w for w in words if balanced_by_windows(w)}, n
 
 
 def test_sweep_small():

@@ -166,8 +166,9 @@ def test_min_of_max_of_binary():
 
 
 def test_min_of_empty_word_rejected():
-    with pytest.raises(InputError):
-        min_of("", Order("ab"))
+    for extremal in (min_of, max_of):
+        with pytest.raises(InputError, match=r"^empty word has no extremal factor$"):
+            extremal("", Order("ab"))
 
 
 def _min_factor_by_scan(w, k, order):
