@@ -20,6 +20,10 @@ plus a witness prefix u for which a·u is lexicographically at most min(w)
 under every order on the alphabet. Balance is the paper's lexicographic
 test on min(w) and max(w): Duval's algorithm finds where each extreme
 starts, and one scan compares their tails; oracles.py counts the windows.
+The prefix-scale checks read the least length-k factor of one prefix under
+at most 2|A| orders in place of all |A|!: for each least letter a, the two
+orders listing the other letters ascending and descending decide whether
+a comparison holds under every order with least letter a.
 """
 
 import re
@@ -36,7 +40,6 @@ from .words import (
     Order,
     _least_suffix_start,
     _least_suffix_start_duval,
-    all_orders,
     alph,
     factors,
     min_factor,
@@ -413,10 +416,38 @@ def wide_sense_check(prefix: str) -> WideSenseResult:
     return WideSenseResult(False, best)
 
 
+def _deciding_orders(letters) -> list[Order]:
+    """For each letter a, the orders a·rest and a·reverse(rest), rest being
+    the other letters ascending: at most 2|A| orders (every order up to
+    three letters), which decide any claim "x <= y under every order with
+    least letter a" for words x, y over the letters.
+
+    Proof: x <= y holds for every order when x is a prefix of y, and for
+    none when y is a proper prefix of x. Otherwise let c != d be the letters
+    at their first mismatch: x <= y under an order exactly when c precedes
+    d. With least letter a, that holds for every such order if c = a, for
+    none if d = a, and otherwise for some orders but not all; the two
+    deciding orders rank c and d oppositely, so one of them fails it too.
+    """
+    letters = sorted(set(letters))
+    if len(letters) > MAX_ALPHABET:
+        raise InputError(f"alphabet larger than {MAX_ALPHABET}: {letters}")
+    names = []
+    for a in letters:
+        rest = "".join(letters).replace(a, "")
+        names += [a + rest, a + rest[::-1]]
+    return [Order(name) for name in dict.fromkeys(names)]
+
+
 def _window_minima(source, k: int):
     """The source's prefix of window(k) letters, which holds every length-k
-    factor of its infinite word, and each order's least length-k window of
-    it: the least length-k factor of the infinite word.
+    factor of its infinite word, and the least length-k window of it, the
+    least length-k factor of the infinite word, under each deciding order.
+
+    Both checks compare the minima only through claims "x <= f under every
+    order with least letter a, for every length-k factor f", and a's two
+    deciding orders settle each such claim, so 2|A| scans give the answers
+    of all |A|! orders.
 
     Every window is at least k letters long, so past the letter budget the
     window need not be computed; where it is, InconclusiveError names it.
@@ -431,7 +462,8 @@ def _window_minima(source, k: int):
             f"length-{k} factors need a {size}window past the {STABILITY_BUDGET}-letter budget"
         )
     prefix = source.prefix(window)
-    return prefix, {order: min_factor(prefix, k, order) for order in all_orders(alph(prefix))}
+    orders = _deciding_orders(alph(prefix))
+    return prefix, {order: min_factor(prefix, k, order) for order in orders}
 
 
 def check_min_inequality(d: DirectiveSpec, k: int) -> bool:
@@ -459,7 +491,9 @@ def check_fine_prefix(source, k: int) -> bool:
     test, and only the tails s are compared.
     """
     _, minima = _window_minima(source, k)
-    # One order per permutation: fewer than two orders means one letter.
+    # Each letter a is the least letter of a deciding order, whose minimum
+    # is a·s for every order with least letter a exactly when it is for
+    # both deciding ones. Fewer than two deciding orders means one letter.
     if len(minima) < 2:
         raise InputError("fineness needs at least two letters")
     return len({mk[1:] for mk in minima.values()}) == 1

@@ -3,12 +3,15 @@ import random
 import sys
 import time
 from collections import Counter
+from functools import reduce
 from itertools import product
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epiword.classify as classify
 from epiword import (
     Certificate,
     DirectiveSpec,
@@ -691,6 +694,100 @@ def test_fine_for_strict_episkew():
     assert check_fine_prefix(spec, 12)
 
 
+def test_deciding_orders_settle_every_order_with_their_least_letter():
+    # For every x and y over abcd of length at most 4 and every letter a,
+    # x <= y under every order with least letter a exactly when it holds
+    # under a's two deciding orders. above[o][x] is the set of words y with
+    # x <= y under o, as a bit mask over the word indices.
+    words = ["".join(p) for n in range(5) for p in product("abcd", repeat=n)]
+    above = {}
+    for order in all_orders("abcd"):
+        ranked = sorted(range(len(words)), key=lambda i: order.key(words[i]))
+        masks, mask = {}, 0
+        for i in reversed(ranked):
+            mask |= 1 << i
+            masks[words[i]] = mask
+        above[order.letters] = masks
+    deciding = [o.letters for o in classify._deciding_orders("abcd")]
+    assert len(deciding) == 8
+    for a in "abcd":
+        every = [o for o in above if o[0] == a]
+        two = [o for o in deciding if o[0] == a]
+        assert len(every) == 6 and len(two) == 2
+        for x in words:
+            held = reduce(and_, (above[o][x] for o in every))
+            assert held == reduce(and_, (above[o][x] for o in two)), (a, x)
+
+
+def _differential_sources(rng, n):
+    """n directive, skew and episkew sources each on 2 to 6 letters; a
+    quarter of the directives show their last letter only after 60 or more
+    letters."""
+
+    def word(lo, hi, letters):
+        return "".join(rng.choice(letters) for _ in range(rng.randint(lo, hi)))
+
+    for _ in range(n):
+        letters = "abcdef"[: rng.randint(2, 6)]
+        pre = word(0, 3, letters)
+        if rng.random() < 0.25:
+            pre += "a" * rng.randint(60, 80) + letters[-1]
+        yield DirectiveSpec(pre, "".join(rng.sample(letters, rng.randint(1, len(letters)))))
+        yield EventuallyPeriodicSpec(word(0, 6, letters), word(1, 6, letters))
+        p = rng.randint(0, 4)
+        inner = DirectiveSpec(word(0, 2, letters[:-1]), word(1, 3, letters[:-1]))
+        yield EpiskewSpec(word(0, 2, letters), letters[-1], inner, p, rng.randint(1, p + 1))
+
+
+def test_prefix_checks_match_every_order(monkeypatch):
+    # Both prefix-scale checks read only the deciding orders; with all |A|!
+    # orders in their place they must give the same answers and errors. The
+    # two skew words are not fine at k = 2, which one order per least letter,
+    # the ascending one for the first and the descending one for the second,
+    # would miss; the seeded draw seldom holds such a word.
+    sources = [
+        *_differential_sources(random.Random(29), 40),
+        EventuallyPeriodicSpec("a", "bacb"),
+        EventuallyPeriodicSpec("b", "cbac"),
+    ]
+    cases = [
+        (check, source, k)
+        for source in sources
+        for k in (1, 2, 3, 4, 6, 9, 14, 25)
+        for check in (check_fine_prefix, check_min_inequality)
+        if check is check_fine_prefix or isinstance(source, DirectiveSpec)
+    ]
+
+    def answers():
+        out = []
+        for check, source, k in cases:
+            try:
+                out.append(check(source, k))
+            except (InputError, InconclusiveError) as exc:
+                out.append((type(exc), str(exc)))
+        return out
+
+    deciding = answers()
+    monkeypatch.setattr(classify, "_deciding_orders", all_orders)
+    assert answers() == deciding
+    assert {True, False, (InputError, "fineness needs at least two letters")} <= set(deciding)
+
+
+def test_prefix_checks_on_eight_letters_read_few_orders():
+    # Over all 8! orders each check took about 20 s (2 vCPUs); the deciding
+    # orders are 16.
+    cases = [
+        (check_fine_prefix, DirectiveSpec("", "abcdefgh"), True),
+        (check_min_inequality, DirectiveSpec("", "abcdefgh"), True),
+        (check_fine_prefix, DirectiveSpec("a", "bcdefgh"), False),
+    ]
+    for check, source, expected in cases:
+        start = time.perf_counter()
+        assert check(source, 20) is expected, (check, source)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, (check, source, elapsed)
+
+
 def _seeded_fine_sources(rng, n):
     """n directive, skew and episkew sources each over at most four letters,
     some holding letters that only a long preperiod or the head has."""
@@ -733,8 +830,6 @@ def test_window_holds_every_factor():
 
 
 def test_prefix_checks_report_inconclusive_on_tiny_budget(monkeypatch):
-    import epiword.classify as classify
-
     monkeypatch.setattr(classify, "STABILITY_BUDGET", 32)
     # *abc at k = 12 has a 95-letter window; past the budget, a 50-letter
     # cutoff needs no window to know it is longer.

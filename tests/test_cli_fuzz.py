@@ -4,9 +4,10 @@ escapes `cli.main`. Inputs too large for memory run in child processes under
 their own address-space and CPU limits and must exit 2 cleanly.
 
 Draws stay small where a command's cost grows fast: at most 4 letters for
-the |A|! loops of `test fine` and the witness check, `verify` only at
-max-len 6 or below (or past its budget), and the factor counts of
-`complexity` over long prefixes only at a few lengths.
+the |A|! loop of the witness check, `verify` only at max-len 6 or below (or
+past its budget), and the factor counts of `complexity` over long prefixes
+only at a few lengths. `test fine` reads at most 2|A| orders, so it also
+draws directives over 5 to 8 letters.
 """
 
 import io
@@ -57,6 +58,12 @@ _directives = st.builds(
     st.text(alphabet="abcd", max_size=3),
     st.sampled_from(["*", "*", "", "**"]),
     st.text(alphabet="abcdZ", max_size=3),
+)
+# A shuffled period over 5 to 8 letters after an optional short preperiod.
+_wide_directives = st.builds(
+    lambda pre, per: pre + "*" + "".join(per),
+    st.text(alphabet="abcdefgh", max_size=3),
+    st.integers(5, 8).flatmap(lambda n: st.permutations("abcdefgh"[:n])),
 )
 _skews = st.builds(
     lambda u, comma, v: u + comma + v,
@@ -146,7 +153,8 @@ def _argvs(draw):
             # Every factor window is at least k letters long, so past
             # k = 65 536 the check is inconclusive before it computes one.
             k = st.one_of(_int_text(-3, 64), st.integers(65_537, 10**6).map(str))
-            argv = [command, mode, draw(_sources), "--k", draw(k)]
+            source = draw(_wide_directives if draw(st.booleans()) else _sources)
+            argv = [command, mode, source, "--k", draw(k)]
         else:
             argv = [command, mode, draw(_word_args)]
     elif command == "minmax":
