@@ -10,11 +10,13 @@ shortest interior run of x (at least 1): while every interior run of x is
 at least 2 long, no other letter parses and the word is not in base form.
 So one step costs O(runs) and the number of steps counts letter changes in
 the directive rather than letters. The certificate is built in the same
-pass: a word ending in x takes a single step by the full reading, which
-keeps its final run of x, when that reading is accepted, and the run step
-otherwise. The trimmed reading is accepted exactly when the word is, and
-the full reading extends it, so the pass accepts the same words as one
-that always trims. Acceptance yields a directive word, read off the base
+pass. It reads a word w ending in x by the full reading, which keeps its
+final run of x, whenever that reading is accepted, that is whenever w·x
+is. The answer lies further down the walk, so the pass carries the
+extensions still open, a letter and a count each, and settles them where
+the walk ends: at a base form, or at a word alternating two letters, whose
+extensions have closed forms. It then goes on from the extended word, so
+no word is reduced twice. Acceptance yields a directive word, read off the base
 form the pass stops at, embedding the input in a generated standard word,
 plus a witness prefix u for which a·u is lexicographically at most min(w)
 under every order on the alphabet. Balance is the paper's lexicographic
@@ -30,6 +32,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
+from math import inf
 
 from .generate import DirectiveSpec, palindromic_prefix
 from .words import (
@@ -172,17 +175,13 @@ def _run_length(runs, x: str, parity: int) -> int:
     return max(1, min(interior) - 1)
 
 
-def _strip(runs, parity: int, m: int, keep_final: bool = False):
+def _strip(runs, parity: int, m: int):
     """The runs after m single psi_x steps, x's runs being those of the
     given parity: each run of x is m letters shorter, the first and final
-    ones gone if they had at most m; with keep_final the final run, one of
-    x, keeps its length (the full reading of its lone x blocks)."""
+    ones gone if they had at most m."""
     letters, counts = runs
     counts = counts.copy()
-    shorter = [c - m for c in counts[parity::2]]
-    if keep_final:
-        shorter[-1] += m
-    counts[parity::2] = shorter
+    counts[parity::2] = [c - m for c in counts[parity::2]]
     # A run of x that is gone lets its neighbours meet; none gone, none merge.
     merged_letters, merged = [], []
     for c, k in zip(letters, counts):
@@ -196,46 +195,129 @@ def _strip(runs, parity: int, m: int, keep_final: bool = False):
     return "".join(merged_letters), merged
 
 
-def _reduce(runs, certify: bool = False):
-    """Undo psi_x^m in run steps until the word is in base form.
+def _room(runs, base, z: str):
+    """How many letters z an accepted word where the walk ends takes on the
+    right and stays accepted: inf for any number. base is the word's base
+    form (x, y, p, q), or None for a word alternating two letters.
+
+    Alternating, ending in e, with other letter e' (at least two of each, as
+    it is not in base form): only e separates u·e, read by it as e'^n·e, and
+    u·ee reads as e'^n·ee, which nothing separates; u·e' alternates, u·e'e'
+    is read by e' alone as e^n·e' and u·e'^3 as e^n·e'e', which nothing
+    separates; u·z with a third letter is read by e alone as e'^n·z, and
+    nothing separates u·zz. So e' has room 2 and every other letter room 1.
+
+    Base form b = x^p·y·x^q (x^p if y is None), z != x unless said:
+    - b·z^j is a base form for z = x, for y None and p <= 1 (x·z^j), and for
+      z = y and p + q = 1 (x·y^(1+j), y·x·y^j).
+    - y None, p >= 2: b·z is a base form; nothing separates b·zz (xx, zz).
+    - p > q + 1: nothing separates x^p·y·z (xx, yz) for q = 0; for q >= 1,
+      x alone separates x^p·y·x^q·z, and its q steps, each keeping xx,
+      reach x^(p-q)·y·z, which nothing separates.
+    - Otherwise b·z is accepted: for q = 0 it is x·y·z (z != y), which y
+      alone reads as x·z; for q >= 1, x reads it down to y·z, x·y·z or
+      x·y·y (a word alternating two letters on the way is accepted).
+    - b·zz: zz leaves x out, and z is no separating letter unless z = y
+      (b has xy or yx), so y must separate, that is p, q <= 1. Outside the
+      first case that leaves p = q = 1: y alone reads x·y·x·y^j as
+      x·x·y^(j-1), a base form for j = 2 and rejected for j >= 3.
+    """
+    if base is None:
+        letters = runs[0]
+        return 1 + (z in letters and letters[-1] != z)
+    x, y, p, q = base
+    if z == x or (y is None and p <= 1) or (z == y and p + q == 1):
+        return inf
+    if y is None:
+        return 1
+    if p > q + 1:
+        return 0
+    return 2 if z == y and p == q == 1 else 1
+
+
+def _reduce(runs):
+    """Undo psi_x^m in run steps until the certificate's word is in base form.
 
     A run step takes m single steps at once, m being one less than the
     shortest interior run of x and at least 1 (_run_length). Returns
     (reason, chain, base): reason is None when the word is accepted, chain
     holds the letters undone, m of them per run step, and base is the base
-    form (x, y, p, q) the word reached, None on rejection. Without certify
-    every step takes the trimmed reading: a final x of the word is a whole
-    block, so dropping it from the reading is the same as reading the word
-    without it, and as finite episturmian words are closed under factors
-    and each extends to the right, that reading alone decides the word.
-    With certify a word ending in x takes a single step by the full
-    reading, which keeps the final run of x whole, when that reading is
-    accepted, and the run step otherwise. The verdict stays exact: an
-    accepted word leaves the trimmed path only for an accepted reading, and
-    a rejected word's full reading extends its rejected trimmed one, so it
-    follows the trimmed path to where no letter parses. Once a full reading
-    is rejected, so is the next one along the run step, as it is the
-    trimmed reading of the rejected one; the run step therefore takes the
-    single steps the certificate would.
+    form (x, y, p, q) the certificate reached, None on rejection.
+
+    Each single step T takes the trimmed reading: a final x of the word is a
+    whole block, so dropping it from the reading is the same as reading the
+    word without it, and as finite episturmian words are closed under
+    factors and each extends to the right, that reading alone decides the
+    word. The certificate reads a word w ending in its parse letter x by the
+    full reading T(w)·x instead whenever a second reduction would accept
+    that reading. As T(w)·x = T(w·x) and x parses w·x, that is whenever w·x
+    is accepted: the certificate extends its word by its parse letter where
+    it can, then steps. The answer lies further down the walk, so the walk
+    carries pending, letters z with counts h in order of preference, and
+    keeps, for an accepted input: the certificate's word is u·z^j for the
+    first pending z with u·z accepted and j <= h greatest with u·z^j
+    accepted, else the walk's word u. Each candidate before the
+    certificate's word is rejected, and so is every extension of one.
+
+    Inside a run step, a candidate w·s is rejected unless x separates it,
+    its separating letters being among w's: past the step's first word xx
+    occurs, so x is the only one, and the walk steps from a word with two
+    separating letters (alternating them) only with nothing pending, when
+    its candidates are itself and w·x. One single step maps:
+    - w ending in x: w·x^j to T(w)·x^j and w·z to T(w)·z, while w·zz is
+      rejected. Each candidate ending in x tries one more x, so x's count
+      grows by one (w·x, tried by w itself, comes after the others or
+      repeats one), and every other count falls to 1.
+    - w ending in another letter: w·x^j to T(w)·x^(j-1), while w·z is
+      rejected, its last two letters lacking x. w·x maps to T(w), which is
+      accepted as the input is, so no later candidate counts: only x stays
+      pending, with its count (grown by the try, then lowered by the step).
+    From a word ending in x^c, a run step thus adds min(c, m) to x's count,
+    and the other letters keep count 1 if c >= m and are dropped otherwise.
+
+    At a base form or a word alternating two letters (both separate it) the
+    walk settles what is pending by _room: the certificate's word is u·z^j
+    for the first z with room, j = min(h, room), and the walk goes on from
+    it with nothing pending; in base form with no such z the walk stops. The
+    alternating word is the one place where an extension's least separating
+    letter can differ from the word's (abbabb reduces to abab, its
+    certificate to ababb, which b reads), so nothing is carried past it.
+    Both ends are accepted words (an alternating word reads as a power of
+    one letter), so a rejected input reaches neither: pending never changes
+    its walk, and its verdict and reason are the trimmed walk's.
     """
     chain = []
     reason = RejectReason.NO_SEPARATING_LETTER
-    while (base := _base_form(runs)) is None:
+    pending = {}
+    while True:
+        letters, counts = runs
+        base = _base_form(runs)
+        if base is not None or (pending and max(counts) == 1 and len(set(letters)) == 2):
+            # Every letter has room at a word alternating two letters, so
+            # only a base form can end the walk here.
+            for z, h in pending.items():
+                if j := min(h, _room(runs, base, z)):
+                    break
+            else:
+                return None, chain, base
+            if letters[-1] == z:
+                runs = letters, counts[:-1] + [counts[-1] + j]
+            else:
+                runs = letters + z, counts + [j]
+            pending = {}
+            continue
         step = _parse_letter(runs)
         if step is None:
             return reason, chain, None
         reason = RejectReason.REDUCTION_FAILED
         x, parity = step
-        if certify and runs[0][-1] == x:
-            full = _strip(runs, parity, 1, keep_final=True)
-            if _reduce(full)[0] is None:
-                chain.append(x)
-                runs = full
-                continue
         m = _run_length(runs, x, parity)
+        c = counts[-1] if letters[-1] == x else 0
+        pending = {z: h if z == x else 1 for z, h in pending.items() if z == x or c >= m}
+        if c:
+            pending[x] = pending.get(x, 0) + min(c, m)
         chain.append(x * m)
         runs = _strip(runs, parity, m)
-    return None, chain, base
 
 
 def _reject_reason(w: str) -> RejectReason | None:
@@ -275,7 +357,7 @@ def is_finite_episturmian(w: str) -> Verdict:
         raise InputError("empty word")
     if len(alph(w)) > MAX_ALPHABET:
         raise InputError(f"alphabet larger than {MAX_ALPHABET}")
-    reason, chain, base = _reduce(_runs(w), certify=True)
+    reason, chain, base = _reduce(_runs(w))
     if reason is not None:
         return _REJECTED[reason]
     cert = _certificate(w, chain, base)

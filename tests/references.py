@@ -1,6 +1,7 @@
 """Reference helpers for the tests: the paper's nested palindromic prefixes
 u(i) and the words h(i), each a thin wrapper over a library path, an
-order-free rule for the witness check, and balance by counting windows.
+order-free rule for the witness check, balance by counting windows, and the
+certifying reduction that decides each full reading by a nested reduction.
 
 Not a test module; the tests import it by name.
 """
@@ -9,6 +10,7 @@ from itertools import accumulate, islice
 from operator import sub
 
 from epiword import apply_morphism
+from epiword.classify import RejectReason, _base_form, _parse_letter, _run_length
 from epiword.generate import palindromic_prefix
 
 
@@ -55,3 +57,53 @@ def balanced_by_windows(w: str) -> bool:
         if max(counts) - min(counts) > 1:
             return False
     return True
+
+
+def strip_runs(runs, parity: int, m: int, keep_final: bool = False):
+    """The runs after m single psi_x steps, x's runs being those of the
+    given parity: each run of x is m letters shorter, the first and final
+    ones gone if they had at most m; with keep_final the final run, one of
+    x, keeps its length (the full reading of its lone x blocks)."""
+    letters, counts = runs
+    counts = counts.copy()
+    shorter = [c - m for c in counts[parity::2]]
+    if keep_final:
+        shorter[-1] += m
+    counts[parity::2] = shorter
+    # A run of x that is gone lets its neighbours meet; none gone, none merge.
+    merged_letters, merged = [], []
+    for c, k in zip(letters, counts):
+        if k <= 0:
+            continue
+        if merged_letters and merged_letters[-1] == c:
+            merged[-1] += k
+        else:
+            merged_letters.append(c)
+            merged.append(k)
+    return "".join(merged_letters), merged
+
+
+def reduce_nested(runs, certify: bool = False):
+    """classify._reduce with a nested reduction per full reading: without
+    certify every step takes the trimmed reading; with certify a word ending
+    in x takes a single step by the full reading, which keeps the final run
+    of x whole, when reduce_nested accepts that reading, and the run step
+    otherwise. Returns (reason, chain, base) as classify._reduce does."""
+    chain = []
+    reason = RejectReason.NO_SEPARATING_LETTER
+    while (base := _base_form(runs)) is None:
+        step = _parse_letter(runs)
+        if step is None:
+            return reason, chain, None
+        reason = RejectReason.REDUCTION_FAILED
+        x, parity = step
+        if certify and runs[0][-1] == x:
+            full = strip_runs(runs, parity, 1, keep_final=True)
+            if reduce_nested(full)[0] is None:
+                chain.append(x)
+                runs = full
+                continue
+        m = _run_length(runs, x, parity)
+        chain.append(x * m)
+        runs = strip_runs(runs, parity, m)
+    return None, chain, base

@@ -48,7 +48,8 @@ from epiword.oracles import (
     check_certificate,
     oracle_check_witness,
 )
-from references import balanced_by_windows, witness_holds_order_free
+import references
+from references import balanced_by_windows, reduce_nested, witness_holds_order_free
 
 
 def test_separating_letters():
@@ -626,6 +627,50 @@ def test_run_steps_match_single_steps_on_standard_factors():
     # The first prefix that holds the word comes before the last one for
     # 90 of the 300 words.
     assert early > 0
+
+
+def test_one_pass_matches_the_nested_reduction(monkeypatch):
+    # The reference reduces each full reading again before taking it; the
+    # calls it makes without certify are those nested verdicts.
+    nested = []
+
+    def counted(runs, certify=False):
+        result = reduce_nested(runs, certify)
+        if not certify:
+            nested.append(result[0] is None)
+        return result
+
+    monkeypatch.setattr(references, "reduce_nested", counted)
+    words = ["".join(t) for n in range(1, 8) for t in product("abcd", repeat=n)]
+    assert len(words) == 21_844
+    for k in [*range(1, 41), *range(50, 121, 10)]:
+        for a, b in (("a", "b"), ("b", "a")):
+            words.append((a * k + b) * 3 + a * k)
+    for k in range(1, 121):
+        for a, b in (("a", "b"), ("b", "a")):
+            words.append(a * (k + 2) + b + a * k + b)
+    for w in words:
+        runs = classify._runs(w)
+        got = classify._reduce(runs)
+        want = reduce_nested(runs, True)
+        assert (got[0], "".join(got[1]), got[2]) == (want[0], "".join(want[1]), want[2]), w
+    # Full readings are both taken and refused.
+    assert True in nested and False in nested
+
+
+def test_each_decision_reduces_the_word_once(monkeypatch):
+    calls = []
+    reduce_runs = classify._reduce
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reduce_runs(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "_reduce", counted)
+    words = ["".join(t) for n in range(1, 11) for t in product("ab", repeat=n)]
+    accepted = sum(is_finite_episturmian(w).accepted for w in words)
+    assert accepted == 458
+    assert len(calls) == len(words) == 2046
 
 
 def test_is_balanced_stays_fast_on_long_words():
