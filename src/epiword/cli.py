@@ -2,13 +2,19 @@
 
 Subcommands: generate, minmax, test, witness, balanced, complexity, verify.
 Exit codes: 0 success/accept, 1 clean reject, 2 usage or input error
-(including an input too large for the available memory), 3 inconclusive
-(stability budget exceeded). Pass --json for stable machine-readable output
-(no timings there; wall time only in verify text mode).
+(including an input too large for the available memory, and stdout closed
+by its reader), 3 inconclusive (stability budget exceeded). Pass --json for
+stable machine-readable output (no timings there; wall time only in verify
+text mode).
+
+The per-word subcommands judge and print each stdin word of '-' before they
+read the next line, so a batch holds one line in memory; a batch with an
+invalid word prints the results before it, then the error, and exits 2.
 """
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -58,16 +64,6 @@ def _emit(args, payload: dict, lines: list[str]):
     else:
         for line in lines:
             print(line)
-
-
-def _input_words(arg: str) -> list[str]:
-    """The word argument itself, or words one per line from stdin for '-'."""
-    if arg == "-":
-        words = [line.strip() for line in sys.stdin if line.strip()]
-        if not words:
-            raise InputError("no words on stdin")
-        return [validate_word(w) for w in words]
-    return [validate_word(arg)]
 
 
 def _parse_mechanical(text: str, ceiling: bool) -> MechanicalSpec:
@@ -132,15 +128,18 @@ def _cmd_generate(args) -> int:
 
 
 def _each_word(args, text: str, judge) -> int:
-    """Run judge(args, w) -> (accepted, payload, lines) on each input word,
-    emit each result, and return EXIT_REJECT if any word was rejected."""
-    code = EXIT_OK
-    for w in _input_words(text):
-        accepted, payload, lines = judge(args, w)
+    """Run judge(args, w) -> (accepted, payload, lines) on the word argument,
+    or for '-' on each non-blank stdin line, emitting each result before the
+    next line is read; EXIT_REJECT if any word was rejected."""
+    words = filter(None, map(str.strip, sys.stdin)) if text == "-" else [text]
+    rejected = None  # until a word is judged
+    for w in words:
+        accepted, payload, lines = judge(args, validate_word(w))
         _emit(args, payload, lines)
-        if not accepted:
-            code = EXIT_REJECT
-    return code
+        rejected = rejected or not accepted
+    if rejected is None:
+        raise InputError("no words on stdin")
+    return EXIT_REJECT if rejected else EXIT_OK
 
 
 def _minmax(args, w: str):
@@ -298,7 +297,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull, so that the flush at
+        # exit cannot raise again (the SIGPIPE note in Python's signal docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output closed", file=sys.stderr)
+        return EXIT_USAGE
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -385,16 +385,61 @@ def test_words_from_stdin(capsys, monkeypatch):
     assert lines[1] == "not balanced: u=aba"
 
 
-def _run_python(*args, **env):
-    # The subprocess does not see pytest's pythonpath setting, so it gets
-    # the checkout's src on PYTHONPATH and runs from an uninstalled tree.
+def test_stdin_blank_lines_only_is_an_input_error(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n  \n\t\n"))
+    assert run(capsys, "balanced", "-") == (2, "", "error: no words on stdin\n")
+
+
+def test_stdin_words_are_validated_before_they_are_judged(capsys, monkeypatch):
+    import io
+
+    # Order would name the letter instead: letter 'X' outside alphabet.
+    monkeypatch.setattr("sys.stdin", io.StringIO("aXb\n"))
+    code, out, err = run(capsys, "minmax", "-")
+    assert (code, out) == (2, "")
+    assert err == "error: word must be lowercase a-z letters, got 'aXb'\n"
+
+
+@pytest.mark.parametrize("command", [["balanced"], ["test", "episturmian"]])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_stdin_batch_prints_results_before_an_invalid_word(
+    capsys, monkeypatch, command, json_flag
+):
+    import io
+
+    expected = "".join(run(capsys, *command, w, *json_flag)[1] for w in ("ab", "abba"))
+    monkeypatch.setattr("sys.stdin", io.StringIO("ab\nabba\nAB\nba\n"))
+    code, out, err = run(capsys, *command, "-", *json_flag)
+    assert (code, out) == (2, expected)
+    assert err == "error: word must be lowercase a-z letters, got 'AB'\n"
+
+
+def test_stdin_words_are_judged_as_they_are_read(capsys, monkeypatch):
+    # The third read fails as a line too long for memory would: the two
+    # words before it were judged and printed before it was read.
+    def lines():
+        yield "ab\n"
+        yield "abba\n"
+        raise MemoryError
+
+    monkeypatch.setattr("sys.stdin", lines())
+    code, out, err = run(capsys, "balanced", "-")
+    assert (code, out, err) == (2, "balanced\nbalanced\n", "error: out of memory\n")
+
+
+def _checkout_env(**env):
+    # A subprocess does not see pytest's pythonpath setting, so it gets the
+    # checkout's src on PYTHONPATH and runs from an uninstalled tree.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **env)
+
+
+def _run_python(*args, **env):
     return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path, **env),
+        [sys.executable, *args], capture_output=True, text=True, env=_checkout_env(**env)
     )
 
 
@@ -414,6 +459,35 @@ def test_fractions_loaded_only_for_a_mechanical_spec():
     proc = _run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["False", "aabab", "True"]
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (["balanced", "-", "--json"], lambda out: out.readline()),
+        (["generate", "--directive", "*ab", "--length", "2000000"], lambda out: out.read(10)),
+    ],
+    ids=["balanced-head-1", "generate-head-c-10"],
+)
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path, argv, first):
+    # Both outputs are far larger than a pipe holds, so the child is still
+    # writing when the reader closes its end.
+    words = tmp_path / "words.txt"
+    words.write_text("abaababaabaab\n" * 20_000)
+    with words.open() as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "epiword", *argv],
+            stdin=stdin,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_checkout_env(),
+        )
+        assert first(proc.stdout)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2, err
+    assert err == "error: output closed\n"
 
 
 def test_output_independent_of_hash_seed():
