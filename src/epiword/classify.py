@@ -131,7 +131,7 @@ def _base_form(runs):
         return letters, None, counts[0], 0
     if len(letters) == 2:
         # y is the lesser of the two letters when both occur once.
-        for i in sorted((0, 1), key=letters.__getitem__):
+        for i in (0, 1) if letters[0] < letters[1] else (1, 0):
             if counts[i] == 1:
                 p, q = (0, counts[1]) if i == 0 else (counts[0], 0)
                 return letters[1 - i], letters[i], p, q
@@ -355,13 +355,14 @@ def is_finite_episturmian(w: str) -> Verdict:
     validate_word(w)
     if not w:
         raise InputError("empty word")
-    if len(alph(w)) > MAX_ALPHABET:
+    letters = alph(w)
+    if len(letters) > MAX_ALPHABET:
         raise InputError(f"alphabet larger than {MAX_ALPHABET}")
     reason, chain, base = _reduce(_runs(w))
     if reason is not None:
         return _REJECTED[reason]
     cert = _certificate(w, chain, base)
-    if not _witness_holds(w, cert.witness_u, alph(w) | alph(cert.witness_u)):
+    if not _witness_holds(w, cert.witness_u, letters | alph(cert.witness_u)):
         return _REJECTED[RejectReason.WITNESS_CHECK_FAILED]
     return Verdict(True, cert, None)
 
@@ -406,14 +407,22 @@ def _witness_holds(w: str, u: str, letters) -> bool:
 
 def is_balanced(w: str) -> bool:
     """True iff equal-length factors of w never differ by more than one
-    occurrence of either letter (binary words only); by Glen, Justin and
-    Pirillo's characterization, iff sturmian_test finds no u with a·u·a a
-    prefix of min(w) and b·u·b a prefix of max(w)."""
+    occurrence of either letter (binary words only).
+
+    By Glen, Justin and Pirillo's characterization, that is iff no u has
+    a·u·a a prefix of min(w) and b·u·b a prefix of max(w). The verdict is
+    read off the two letters after the common prefix of a^{-1}min(w) and
+    b^{-1}max(w), with no SturmianResult built: w is unbalanced exactly
+    when they are a and b.
+    """
     validate_word(w)
     letters = alph(w)
     if not letters <= {"a", "b"}:
         raise InputError(f"balance is defined over letters a, b: {w!r}")
-    return len(letters) < 2 or _sturmian(w).sturmian
+    if len(letters) < 2:
+        return True
+    lo, hi, c = _tails(w)
+    return w[lo + c : lo + c + 1] + w[hi + c : hi + c + 1] != "ab"
 
 
 @dataclass(frozen=True)
@@ -438,20 +447,8 @@ def sturmian_test(w: str) -> SturmianResult:
     validate_word(w)
     if alph(w) != {"a", "b"}:
         raise InputError("needs a binary word containing both a and b")
-    return _sturmian(w)
-
-
-def _sturmian(w: str) -> SturmianResult:
-    """sturmian_test on a checked word over both a and b."""
-    ranks = _AB.key(w)
-    # The tails a^{-1}min(w) and b^{-1}max(w) are w[lo:] and w[hi:].
-    lo = _least_suffix_start_duval(ranks) + 1
-    hi = _least_suffix_start_duval(ranks.translate(_REFLECT)) + 1
+    lo, hi, c = _tails(w)
     n = len(w)
-    span = n - max(lo, hi)
-    c = 0
-    while c < span and w[lo + c] == w[hi + c]:
-        c += 1
     common = w[lo : lo + c]
     after_min = w[lo + c] if lo + c < n else None
     after_max = w[hi + c] if hi + c < n else None
@@ -460,6 +457,20 @@ def _sturmian(w: str) -> SturmianResult:
     if after_min == "a" and after_max == "b":
         return SturmianResult(False, common, common, after_min, after_max)
     return SturmianResult(True, None, common, after_min, after_max)
+
+
+def _tails(w: str):
+    """(lo, hi, c) for a checked word over both a and b: the tails
+    a^{-1}min(w) and b^{-1}max(w) are w[lo:] and w[hi:], and c is the length
+    of their common prefix."""
+    ranks = _AB.key(w)
+    lo = _least_suffix_start_duval(ranks) + 1
+    hi = _least_suffix_start_duval(ranks.translate(_REFLECT)) + 1
+    span = len(w) - max(lo, hi)
+    c = 0
+    while c < span and w[lo + c] == w[hi + c]:
+        c += 1
+    return lo, hi, c
 
 
 @dataclass(frozen=True)

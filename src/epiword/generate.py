@@ -63,17 +63,18 @@ def pal_closure(w: str) -> str:
     """The shortest palindrome having w as a prefix.
 
     Splits w = u·v at the longest palindromic suffix v and returns u·v·ũ.
-    Naive quadratic scan, kept as the reference that the oracles use.
+    Only a suffix that starts with w's last letter can be a palindrome, so
+    str.find steps through those, longest first. A suffix is a palindrome
+    exactly when it is a prefix of w reversed, which one comparison tests.
+    Quadratic at worst, kept as the reference that the oracles use.
     """
-    n = len(w)
-    for i in range(n):
-        lo, hi = i, n - 1
-        while lo < hi and w[lo] == w[hi]:
-            lo += 1
-            hi -= 1
-        if lo >= hi:
-            return w + w[:i][::-1]
-    return w
+    reverse = w[::-1]
+    # The empty word is found at 0 and is its own closure.
+    last = w[-1:]
+    i = w.find(last)
+    while not reverse.startswith(w[i:]):
+        i = w.find(last, i + 1)
+    return w + reverse[len(w) - i :]
 
 
 @dataclass(frozen=True)

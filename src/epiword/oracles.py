@@ -1,20 +1,22 @@
 """Independent brute-force references for validating the deciders.
 
 The membership oracle enumerates directive words outright and generates the
-words they direct; directive enumeration records, at each closure step, only
-the windows outside the mirrored parent, since the rest are factors of the
-parent. The balance oracle grows the balanced words a letter at a time,
-keeping per word the least and greatest count of b per window length and
-widening them by the new suffixes' counts. Sweeps compare a decider against
-its oracle over every word up to a length budget. The certificate checker
-rebuilds an accepted word's embedding with pal_closure and checks its
-witness order by order, with an Order, a min_of and a lex_le per order.
+words they direct. Directive enumeration walks one directive length at a
+time, so a window's first depth is its least, and records, at each closure
+step, only the windows outside the mirrored parent, since the rest are
+factors of the parent. The balance oracle grows the balanced words a letter
+at a time, keeping per word the least and greatest count of b per window
+length and widening them by the new suffixes' counts; an extension stops at
+the first window length where that band grows more than 1 wide. Sweeps
+compare a decider against its oracle over every word up to a length budget,
+building each length's words by extending the previous length's. The
+certificate checker rebuilds an accepted word's embedding with pal_closure
+and checks its witness order by order, with an Order, a min_of and a lex_le
+per order.
 """
 
 import time
 from dataclasses import dataclass, field
-from itertools import product
-from operator import sub
 
 from .classify import Certificate, is_balanced, is_finite_episturmian
 from .generate import pal_closure
@@ -108,27 +110,28 @@ def check_certificate(w: str, cert: Certificate) -> bool:
 def discovery_table(letters, max_len: int) -> dict[str, int]:
     """factor -> least directive length whose generated word contains it,
     for factors of length up to max_len, over all directives on the given
-    letters of length up to max_len."""
+    letters of length up to max_len.
+
+    The walk goes one directive length at a time, so the first depth at
+    which a window is seen is its least.
+    """
     letters = sorted(set(letters))
     table: dict[str, int] = {}
-
-    def visit(u: str, parent_len: int, depth: int):
-        # u is a palindrome that starts, and so ends, with the palindrome
-        # u[:parent_len]: a window inside either copy is the parent's, already
-        # recorded, and one ending past mirror + max_len - 1 is that or too long.
-        mirror = len(u) - parent_len
-        for end in range(parent_len + 1, min(len(u), mirror + max_len - 1) + 1):
-            for size in range(max(1, end - mirror + 1), min(max_len, end) + 1):
-                f = u[end - size : end]
-                old = table.get(f)
-                if old is None or depth < old:
-                    table[f] = depth
+    # The generated words of one directive length, each with the length of
+    # its parent, the word of the directive less its last letter.
+    level = [(x, 0) for x in letters]
+    for depth in range(1, max_len + 1):
+        for u, parent_len in level:
+            # u is a palindrome that starts, and so ends, with the palindrome
+            # u[:parent_len]: a window inside either copy is the parent's,
+            # already recorded, and one ending past mirror + max_len - 1 is
+            # that or too long.
+            mirror = len(u) - parent_len
+            for end in range(parent_len + 1, min(len(u), mirror + max_len - 1) + 1):
+                for size in range(max(1, end - mirror + 1), min(max_len, end) + 1):
+                    table.setdefault(u[end - size : end], depth)
         if depth < max_len:
-            for x in letters:
-                visit(pal_closure(u + x), len(u), depth + 1)
-
-    for x in letters:
-        visit(x, 0, 1)
+            level = [(pal_closure(u + x), len(u)) for u, _ in level for x in letters]
     return table
 
 
@@ -139,7 +142,8 @@ def _balanced_levels(max_len: int) -> list[set[str]]:
     over its windows of each length, and the counts of b in its suffixes.
     Every window of w·c but its |w|+1 suffixes is a window of w, so w·c is
     balanced exactly when w's band, widened by those suffix counts, is
-    nowhere more than 1 wide: an O(|w|) check per extension. An unbalanced
+    nowhere more than 1 wide: an O(|w|) check per extension, which stops
+    at the first window length where the band overflows. An unbalanced
     word has no balanced extension, so each level extends the one before.
     """
     levels = [{""}]
@@ -152,9 +156,23 @@ def _balanced_levels(max_len: int) -> list[set[str]]:
                 ("a", (0, *suffixes)),
                 ("b", (1, *[s + 1 for s in suffixes])),
             ):
-                lo2 = (*map(min, lo, counts), counts[-1])
-                hi2 = (*map(max, hi, counts), counts[-1])
-                if max(map(sub, hi2, lo2)) <= 1:
+                lo2, hi2 = [], []
+                for low, high, s in zip(lo, hi, counts):
+                    # The band is at most 1 wide, so s can move one end only.
+                    if s < low:
+                        if s < high - 1:
+                            break
+                        low = s
+                    elif s > high:
+                        if s > low + 1:
+                            break
+                        high = s
+                    lo2.append(low)
+                    hi2.append(high)
+                else:
+                    # The one window of length |w|+1 is w·c itself.
+                    lo2.append(counts[-1])
+                    hi2.append(counts[-1])
                     grown[w + c] = lo2, hi2, counts
         bands = grown
         levels.append(set(grown))
@@ -224,10 +242,13 @@ def sweep(check: str, alphabet_size: int, max_len: int) -> SweepReport:
         reference = _episturmian_reference(letters, max_len)
     total = 0
     mismatches = []
-    for n in range(1, max_len + 1):
-        for tup in product(letters, repeat=n):
-            w = "".join(tup)
-            total += 1
+    # Each length's words extend the previous length's by each letter, in
+    # the order of itertools.product.
+    words = [""]
+    for _ in range(max_len):
+        words = [w + x for w in words for x in letters]
+        total += len(words)
+        for w in words:
             d = bool(decide(w))
             o = bool(reference(w))
             if d != o:

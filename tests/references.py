@@ -1,7 +1,8 @@
 """Reference helpers for the tests: the paper's nested palindromic prefixes
-u(i) and the words h(i), each a thin wrapper over a library path, an
-order-free rule for the witness check, balance by counting windows, and the
-certifying reduction that decides each full reading by a nested reduction.
+u(i) and the words h(i), each a thin wrapper over a library path,
+palindromic closure by a two-pointer scan of every suffix, an order-free
+rule for the witness check, balance by counting windows, and the certifying
+reduction that decides each full reading by a nested reduction.
 
 Not a test module; the tests import it by name.
 """
@@ -31,6 +32,20 @@ def h_words(d, n: int) -> list[str]:
     """
     xs = "".join(islice(d.letters(), n))
     return [apply_morphism(xs[:i], xs[i]) for i in range(len(xs))]
+
+
+def pal_closure_two_pointer(w: str) -> str:
+    """pal_closure by testing every suffix of w, longest first, with two
+    pointers moving inwards; the first palindrome is the longest."""
+    n = len(w)
+    for i in range(n):
+        lo, hi = i, n - 1
+        while lo < hi and w[lo] == w[hi]:
+            lo += 1
+            hi -= 1
+        if lo >= hi:
+            return w + w[:i][::-1]
+    return w
 
 
 def witness_holds_order_free(w: str, u: str) -> bool:

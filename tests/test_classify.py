@@ -323,6 +323,7 @@ def test_sturmian_test_matches_full_extremes_on_long_words():
     assert len(words) == 400 and max(map(len, words)) <= 600
     for w in words:
         assert sturmian_test(w) == _sturmian_by_extremes(w), w
+        assert is_balanced(w) == sturmian_test(w).sturmian, w
 
 
 def test_balance_of_one_long_run_each_side_is_linear():

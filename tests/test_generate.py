@@ -24,7 +24,7 @@ from epiword import (
     standard_prefix,
 )
 from epiword.generate import palindromic_prefix
-from references import h_words, is_palindrome, palindromic_prefixes
+from references import h_words, is_palindrome, pal_closure_two_pointer, palindromic_prefixes
 
 words = st.text(alphabet="abc", max_size=30)
 
@@ -76,6 +76,18 @@ def test_pal_closure_matches_mirror_search(w):
     assert got == _closure_by_mirroring(w)
     assert got.startswith(w)
     assert is_palindrome(got)
+
+
+def test_pal_closure_matches_two_pointer_scan():
+    # pal_closure tries only the suffixes starting with w's last letter;
+    # the reference tries every suffix.
+    for n in range(9):
+        for w in map("".join, product("abc", repeat=n)):
+            assert pal_closure(w) == pal_closure_two_pointer(w), w
+    rng = random.Random(29)
+    for _ in range(200):
+        w = "".join(rng.choices("ab", weights=(rng.random(), 1), k=rng.randint(1, 300)))
+        assert pal_closure(w) == pal_closure_two_pointer(w), w
 
 
 def test_directive_text_forms():

@@ -145,13 +145,13 @@ def test_certificate_checker_rejects_altered_certificates():
 def test_balanced_levels():
     # The binary sweeps' reference: level n holds the balanced words of
     # length n.
-    levels = _balanced_levels(14)
+    levels = _balanced_levels(16)
     assert levels[1] == {"a", "b"}
     assert levels[2] == {"aa", "ab", "ba", "bb"}
     four = levels[4]
     assert "aabb" not in four and "bbaa" not in four
     assert four == {w for w in ("".join(t) for t in product("ab", repeat=4)) if is_balanced(w)}
-    for n in range(15):
+    for n in range(17):
         words = ("".join(t) for t in product("ab", repeat=n))
         assert levels[n] == {w for w in words if balanced_by_windows(w)}, n
 
@@ -168,7 +168,7 @@ def test_sweep_small():
 
 
 @pytest.mark.parametrize(
-    "check, alphabet_size, max_len, word",
+    "check, alphabet_size, max_len, words",
     [
         ("episturmian", 2, 8, "aabb"),
         ("episturmian", 2, 8, "abaab"),
@@ -176,21 +176,28 @@ def test_sweep_small():
         ("sturmian", 2, 8, "babaa"),
         ("episturmian", 3, 5, "abcab"),
         ("episturmian", 3, 5, "acbca"),
+        ("episturmian", 2, 8, "bbbbbbbb baaba abaab a"),
+        ("sturmian", 2, 8, "bbbbbbbb bbaa aabb a"),
+        ("episturmian", 3, 5, "ccccc cbca acbc a"),
     ],
 )
-def test_sweep_reports_a_wrong_decider(monkeypatch, check, alphabet_size, max_len, word):
-    # A decider that flips its verdict on one word must be caught by the
-    # oracle on exactly that word.
+def test_sweep_reports_a_wrong_decider(monkeypatch, check, alphabet_size, max_len, words):
+    # A decider that flips its verdict on some words must be caught by the
+    # oracle on exactly those words, listed by length, then in the order of
+    # itertools.product: the first word, the last word of max_len and two
+    # words of one length in between are given here out of that order.
+    flips = words.split()
     if check == "episturmian":
         real = lambda w: is_finite_episturmian(w).accepted
-        flipped = lambda w: SimpleNamespace(accepted=real(w) != (w == word))
+        flipped = lambda w: SimpleNamespace(accepted=real(w) != (w in flips))
         monkeypatch.setattr(oracles, "is_finite_episturmian", flipped)
     else:
         real = is_balanced
-        monkeypatch.setattr(oracles, "is_balanced", lambda w: real(w) != (w == word))
-    truth = real(word)
+        monkeypatch.setattr(oracles, "is_balanced", lambda w: real(w) != (w in flips))
     report = sweep(check, alphabet_size, max_len)
-    assert report.mismatches == [(word, not truth, truth)]
+    expected = sorted(flips, key=lambda w: (len(w), w))
+    assert report.mismatches == [(w, not real(w), real(w)) for w in expected]
+    assert report.total_words == sum(alphabet_size**n for n in range(1, max_len + 1))
 
 
 def test_sweep_validation():
