@@ -36,7 +36,6 @@ from math import inf
 
 from .generate import DirectiveSpec, palindromic_prefix
 from .words import (
-    _REFLECT,
     MAX_ALPHABET,
     InputError,
     InconclusiveError,
@@ -55,8 +54,11 @@ STABILITY_BUDGET = 2**16
 # A maximal run of one letter; words are validated to a-z.
 _RUN = re.compile("|".join(f"{c}+" for c in "abcdefghijklmnopqrstuvwxyz"))
 
-# The order a < b of the Sturmian test.
-_AB = Order("ab")
+# The Sturmian test reads max(w) as the least suffix of w with a and b
+# swapped; min(w) is the least suffix of w itself.
+_SWAP = str.maketrans("ab", "ba")
+# A word over a and b alone, the balance test's input.
+_AB_WORD = re.compile("[ab]*")
 
 
 class RejectReason(str, Enum):
@@ -313,7 +315,8 @@ def _reduce(runs):
         x, parity = step
         m = _run_length(runs, x, parity)
         c = counts[-1] if letters[-1] == x else 0
-        pending = {z: h if z == x else 1 for z, h in pending.items() if z == x or c >= m}
+        if pending:
+            pending = {z: h if z == x else 1 for z, h in pending.items() if z == x or c >= m}
         if c:
             pending[x] = pending.get(x, 0) + min(c, m)
         chain.append(x * m)
@@ -327,16 +330,17 @@ def _reject_reason(w: str) -> RejectReason | None:
 
 def _certificate(w: str, chain: list[str], base) -> Certificate:
     x, y, p, q = base
-    tail = x * p if y is None else x * max(p, q) + y
-    directive = DirectiveSpec("".join(chain) + tail, x)
+    reduction = "".join(chain)
+    preperiod = reduction + (x * p if y is None else x * max(p, q) + y)
     # The prefixes are nested, so every one that holds w holds it first at
     # the same place and starts with the same |w| letters: the last one,
     # which holds w, gives occurrence and witness.
-    generated = palindromic_prefix(directive.preperiod)
+    generated = palindromic_prefix(preperiod)
     occurrence = generated.find(w)
+    directive = DirectiveSpec(preperiod, x)
     assert occurrence >= 0, f"embedding lost {w!r} under directive {directive}"
     return Certificate(
-        reduction_letters="".join(chain),
+        reduction_letters=reduction,
         base_word=x * p + (y or "") + x * q,
         embedding_directive=directive,
         occurrence_index=occurrence,
@@ -389,20 +393,23 @@ def check_witness(w: str, u: str) -> bool:
 def _witness_holds(w: str, u: str, letters) -> bool:
     """check_witness on checked words, letters being Alph(w) ∪ Alph(u)."""
     codes = sorted(map(ord, letters))
-    # (table, least suffix of w's key) for each order whose least letter,
-    # ranked chr(0), occurs in w.
-    minima = []
+    # One pass over the orders whose least letter, ranked chr(0), occurs in
+    # w: each takes the least suffix m of w's key, compares chr(0)·u with it
+    # and keeps the longest m, which decides the error after the loop.
+    holds, longest = True, 0
     for perm in permutations(range(len(codes))):
         table = dict(zip(codes, perm))
         key = w.translate(table)
         if "\0" in key:
-            minima.append((table, key[_least_suffix_start(key) :]))
-    longest = max(len(m) for _, m in minima)
+            m = key[_least_suffix_start(key) :]
+            if len(m) > longest:
+                longest = len(m)
+            holds = holds and "\0" + u[: len(m) - 1].translate(table) <= m
     if len(u) < longest - 1:
         raise InputError(
             f"witness too short: |u|={len(u)} < |min(w)|-1 = {longest - 1}"
         )
-    return all("\0" + u[: len(m) - 1].translate(table) <= m for table, m in minima)
+    return holds
 
 
 def is_balanced(w: str) -> bool:
@@ -413,13 +420,13 @@ def is_balanced(w: str) -> bool:
     a·u·a a prefix of min(w) and b·u·b a prefix of max(w). The verdict is
     read off the two letters after the common prefix of a^{-1}min(w) and
     b^{-1}max(w), with no SturmianResult built: w is unbalanced exactly
-    when they are a and b.
+    when they are a and b. Duval's algorithm runs on w itself, for min(w),
+    and on w with a and b swapped, for max(w).
     """
-    validate_word(w)
-    letters = alph(w)
-    if not letters <= {"a", "b"}:
+    if _AB_WORD.fullmatch(w) is None:
+        validate_word(w)
         raise InputError(f"balance is defined over letters a, b: {w!r}")
-    if len(letters) < 2:
+    if "a" not in w or "b" not in w:
         return True
     lo, hi, c = _tails(w)
     return w[lo + c : lo + c + 1] + w[hi + c : hi + c + 1] != "ab"
@@ -462,10 +469,13 @@ def sturmian_test(w: str) -> SturmianResult:
 def _tails(w: str):
     """(lo, hi, c) for a checked word over both a and b: the tails
     a^{-1}min(w) and b^{-1}max(w) are w[lo:] and w[hi:], and c is the length
-    of their common prefix."""
-    ranks = _AB.key(w)
-    lo = _least_suffix_start_duval(ranks) + 1
-    hi = _least_suffix_start_duval(ranks.translate(_REFLECT)) + 1
+    of their common prefix.
+
+    Duval's algorithm runs on the word itself, as a < b < chr(127), its
+    sentinel, already holds, and on the word with a and b swapped, whose
+    least suffix starts where max(w) does."""
+    lo = _least_suffix_start_duval(w) + 1
+    hi = _least_suffix_start_duval(w.translate(_SWAP)) + 1
     span = len(w) - max(lo, hi)
     c = 0
     while c < span and w[lo + c] == w[hi + c]:

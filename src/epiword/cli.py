@@ -7,12 +7,16 @@ by its reader), 3 inconclusive (stability budget exceeded). Pass --json for
 stable machine-readable output (no timings there; wall time only in verify
 text mode).
 
+The parser is built once per process, on the first main call, and serves
+every later call.
+
 The per-word subcommands judge and print each stdin word of '-' before they
 read the next line, so a batch holds one line in memory; a batch with an
 invalid word prints the results before it, then the error, and exits 2.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -241,6 +245,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_REJECT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
@@ -294,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -374,6 +374,89 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+# Every subcommand, with and without --json, --k and --order, an argparse
+# usage error and an input error between them, then the sweep workload's
+# three verify --json calls in a row; each with its stdin, or None.
+_REUSE_CALLS = [
+    (["generate", "--directive", "*ab", "--length", "8"], None),
+    (["generate", "--mechanical", "2/5", "--length", "6", "--ceiling", "--json"], None),
+    (["generate", "--skew", "b,a", "--length", "5"], None),
+    (["generate", "--episkew", _EPISKEW, "--length", "9", "--json"], None),
+    (["minmax", "baabacababac"], None),
+    (["minmax", "baabacababac", "--order", "bac", "--json"], None),
+    (["minmax", "baabacababac", "--k", "3"], None),
+    (["minmax", "-", "--order", "cba", "--k", "2", "--json"], "abcab\nbaca\n"),
+    (["generate", "--length", "5"], None),
+    (["test", "episturmian", "baabacababac"], None),
+    (["test", "episturmian", "aabb", "--json"], None),
+    (["witness", "aXb"], None),
+    (["test", "wide", "abba"], None),
+    (["test", "wide", "-", "--json"], "abab\naabb\n"),
+    (["test", "fine", "*ab", "--k", "5"], None),
+    (["test", "fine", "*abc", "--k", "4", "--json"], None),
+    (["witness", "baabacababac"], None),
+    (["witness", "-", "--json"], "ab\naabb\n"),
+    (["balanced", "aabababaabaab"], None),
+    (["balanced", "-", "--json"], "ab\nabba\n"),
+    (["minmax", "--k"], None),
+    (["complexity", "*ab", "--max-n", "5", "--length", "200"], None),
+    (["complexity", "abcab", "--max-n", "3", "--json"], None),
+    (["verify", "sturmian", "--alphabet", "2", "--max-len", "6"], None),
+    (["verify", "episturmian", "--alphabet", "2", "--max-len", "10", "--json"], None),
+    (["verify", "sturmian", "--alphabet", "2", "--max-len", "10", "--json"], None),
+    (["verify", "episturmian", "--alphabet", "3", "--max-len", "6", "--json"], None),
+]
+
+
+def _call_main(capsys, monkeypatch, argv, stdin):
+    import io
+
+    import epiword.cli as cli
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    # verify's text mode ends with its wall time, the one line that varies.
+    out = "".join(line for line in captured.out.splitlines(True) if not line.startswith("elapsed="))
+    return code, out, captured.err
+
+
+def test_reused_parser_leaks_no_state(capsys, monkeypatch):
+    import argparse
+
+    import epiword.cli as cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    reused, after_first = [], None
+    for argv, stdin in _REUSE_CALLS:
+        reused.append(_call_main(capsys, monkeypatch, argv, stdin))
+        if after_first is None:
+            after_first = len(built)
+    # Every parser is built during the first call; the rest reuse them.
+    assert after_first > 0
+    assert len(built) == after_first
+    fresh = []
+    for argv, stdin in _REUSE_CALLS:
+        cli.build_parser.cache_clear()
+        fresh.append(_call_main(capsys, monkeypatch, argv, stdin))
+    assert reused == fresh
+    codes = [code for code, _, _ in reused]
+    assert {0, 1, 2, 3} >= set(codes) and {0, 1, 2} <= set(codes)
+    assert reused[8][0] == 2 and reused[8][2].startswith("usage: epiword generate")
+    assert reused[11] == (2, "", "error: word must be lowercase a-z letters, got 'aXb'\n")
+
+
 def test_words_from_stdin(capsys, monkeypatch):
     import io
 
