@@ -559,11 +559,7 @@ def _window_minima(source, k: int):
         raise InputError("k must be positive")
     window = source.window(k) if k <= STABILITY_BUDGET else None
     if window is None or window > STABILITY_BUDGET:
-        # A window too long for the budget can have thousands of digits.
-        size = f"{window}-letter " if window is not None and window.bit_length() <= 64 else ""
-        raise InconclusiveError(
-            f"length-{k} factors need a {size}window past the {STABILITY_BUDGET}-letter budget"
-        )
+        raise InconclusiveError(k, STABILITY_BUDGET, window)
     prefix = source.prefix(window)
     orders = _deciding_orders(alph(prefix))
     return prefix, {order: min_factor(prefix, k, order) for order in orders}

@@ -113,7 +113,9 @@ def discovery_table(letters, max_len: int) -> dict[str, int]:
     letters of length up to max_len.
 
     The walk goes one directive length at a time, so the first depth at
-    which a window is seen is its least.
+    which a window is seen is its least. A window shorter than the depth
+    is never new there: a word of n letters that occurs at all occurs under
+    a directive of at most n letters, the bound the oracle's search rests on.
     """
     letters = sorted(set(letters))
     table: dict[str, int] = {}
@@ -128,7 +130,7 @@ def discovery_table(letters, max_len: int) -> dict[str, int]:
             # that or too long.
             mirror = len(u) - parent_len
             for end in range(parent_len + 1, min(len(u), mirror + max_len - 1) + 1):
-                for size in range(max(1, end - mirror + 1), min(max_len, end) + 1):
+                for size in range(max(depth, end - mirror + 1), min(max_len, end) + 1):
                     table.setdefault(u[end - size : end], depth)
         if depth < max_len:
             level = [(pal_closure(u + x), len(u)) for u, _ in level for x in letters]

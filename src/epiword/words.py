@@ -25,7 +25,17 @@ class InsufficientDirectiveError(EpiwordError):
 
 
 class InconclusiveError(EpiwordError):
-    """A prefix-scale check did not stabilize within its letter budget."""
+    """A prefix-scale check did not stabilize within its letter budget: its
+    length-k factors need a window of `window` letters, past `budget`;
+    `window` is None where it was not computed."""
+
+    def __init__(self, k: int, budget: int, window: int | None):
+        # A window too long for the budget can have thousands of digits.
+        size = f"{window}-letter " if window is not None and window.bit_length() <= 64 else ""
+        super().__init__(
+            f"length-{k} factors need a {size}window past the {budget}-letter budget"
+        )
+        self.k, self.budget, self.window = k, budget, window
 
 
 _WORD = re.compile("[a-z]*")

@@ -1,8 +1,9 @@
 """Reference helpers for the tests: the paper's nested palindromic prefixes
 u(i) and the words h(i), each a thin wrapper over a library path,
 palindromic closure by a two-pointer scan of every suffix, an order-free
-rule for the witness check, balance by counting windows, and the certifying
-reduction that decides each full reading by a nested reduction.
+rule for the witness check, balance by counting windows, the certifying
+reduction that decides each full reading by a nested reduction, and the
+discovery table that scans windows of every size at every depth.
 
 Not a test module; the tests import it by name.
 """
@@ -12,7 +13,7 @@ from operator import sub
 
 from epiword import apply_morphism
 from epiword.classify import RejectReason, _base_form, _parse_letter, _run_length
-from epiword.generate import palindromic_prefix
+from epiword.generate import pal_closure, palindromic_prefix
 
 
 def is_palindrome(w: str) -> bool:
@@ -122,3 +123,20 @@ def reduce_nested(runs, certify: bool = False):
         chain.append(x * m)
         runs = strip_runs(runs, parity, m)
     return None, chain, base
+
+
+def discovery_table_every_size(letters, max_len: int) -> dict[str, int]:
+    """oracles.discovery_table with every window size from 1 at every depth,
+    where the library's starts at the depth."""
+    letters = sorted(set(letters))
+    table: dict[str, int] = {}
+    level = [(x, 0) for x in letters]
+    for depth in range(1, max_len + 1):
+        for u, parent_len in level:
+            mirror = len(u) - parent_len
+            for end in range(parent_len + 1, min(len(u), mirror + max_len - 1) + 1):
+                for size in range(max(1, end - mirror + 1), min(max_len, end) + 1):
+                    table.setdefault(u[end - size : end], depth)
+        if depth < max_len:
+            level = [(pal_closure(u + x), len(u)) for u, _ in level for x in letters]
+    return table

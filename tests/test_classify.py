@@ -43,11 +43,8 @@ from epiword import (
     wide_sense_check,
 )
 from epiword.generate import palindromic_prefix
-from epiword.oracles import (
-    _episturmian_reference,
-    check_certificate,
-    oracle_check_witness,
-)
+from epiword.oracles import check_certificate, oracle_check_witness
+import ci_checks
 import references
 from references import balanced_by_windows, reduce_nested, witness_holds_order_free
 
@@ -374,15 +371,7 @@ def test_decider_matches_discovery_table_past_three_letters(letters, max_len, ac
     # The ternary sweep's reference, one discovery table over all the
     # letters, on every word over four letters up to n = 8 and five up to
     # n = 6.
-    reference = _episturmian_reference(letters, max_len)
-    count = 0
-    for n in range(1, max_len + 1):
-        for tup in product(letters, repeat=n):
-            w = "".join(tup)
-            expected = reference(w)
-            assert is_finite_episturmian(w).accepted == expected, w
-            count += expected
-    assert count == accepted
+    ci_checks.episturmian_net(letters, max_len, accepted)
 
 
 def test_long_binary_words_match_balance():
@@ -642,19 +631,8 @@ def test_one_pass_matches_the_nested_reduction(monkeypatch):
         return result
 
     monkeypatch.setattr(references, "reduce_nested", counted)
-    words = ["".join(t) for n in range(1, 8) for t in product("abcd", repeat=n)]
-    assert len(words) == 21_844
-    for k in [*range(1, 41), *range(50, 121, 10)]:
-        for a, b in (("a", "b"), ("b", "a")):
-            words.append((a * k + b) * 3 + a * k)
-    for k in range(1, 121):
-        for a, b in (("a", "b"), ("b", "a")):
-            words.append(a * (k + 2) + b + a * k + b)
-    for w in words:
-        runs = classify._runs(w)
-        got = classify._reduce(runs)
-        want = reduce_nested(runs, True)
-        assert (got[0], "".join(got[1]), got[2]) == (want[0], "".join(want[1]), want[2]), w
+    # The 21 844 abcd words up to 7 letters, then 336 of the run families.
+    assert ci_checks.one_pass_reduction(7, families=True) == 21_844 + 336
     # Full readings are both taken and refused.
     assert True in nested and False in nested
 
@@ -880,11 +858,13 @@ def test_prefix_checks_report_inconclusive_on_tiny_budget(monkeypatch):
     # *abc at k = 12 has a 95-letter window; past the budget, a 50-letter
     # cutoff needs no window to know it is longer.
     message = "^length-12 factors need a 95-letter window past the 32-letter budget$"
-    with pytest.raises(InconclusiveError, match=message):
+    with pytest.raises(InconclusiveError, match=message) as raised:
         check_fine_prefix(DirectiveSpec("", "abc"), 12)
+    assert (raised.value.k, raised.value.budget, raised.value.window) == (12, 32, 95)
     message = "^length-50 factors need a window past the 32-letter budget$"
-    with pytest.raises(InconclusiveError, match=message):
+    with pytest.raises(InconclusiveError, match=message) as raised:
         check_min_inequality(DirectiveSpec("", "ab"), 50)
+    assert (raised.value.k, raised.value.budget, raised.value.window) == (50, 32, None)
     # k is checked before the budget: a zero cutoff is bad input, not inconclusive.
     with pytest.raises(InputError, match="k must be positive"):
         check_fine_prefix(DirectiveSpec("", "abc"), 0)
@@ -901,10 +881,12 @@ def test_window_past_any_budget_stops_counting():
     message = "^length-30 factors need a window past the 65536-letter budget$"
     for source in (late, EpiskewSpec("a", "d", late, 0, 1)):
         start = time.perf_counter()
-        with pytest.raises(InconclusiveError, match=message):
+        with pytest.raises(InconclusiveError, match=message) as raised:
             check_fine_prefix(source, 30)
         elapsed = time.perf_counter() - start
         assert elapsed < 0.05, (source, elapsed)
+        assert (raised.value.k, raised.value.budget) == (30, 65536)
+        assert raised.value.window == source.window(30) >= 2**64
 
 
 def test_witness_inequality_survives_extension():

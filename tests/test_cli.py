@@ -1,15 +1,13 @@
 import json
-import os
 import shlex
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from epiword import DirectiveSpec, all_orders, alph, factors
-from epiword.cli import _parse_source, main
+import ci_checks
+from ci_checks import EPIWORD, PYTHON
+from epiword.cli import main
 
 
 def run(capsys, *argv):
@@ -212,31 +210,11 @@ def test_test_fine(capsys):
     assert code == 0
 
 
-_FIBONACCI_300 = DirectiveSpec("", "ab").prefix(300)
-
-
-@pytest.mark.parametrize(
-    "spec, fine",
-    [
-        (_FIBONACCI_300 + ",c", False),
-        (_FIBONACCI_300 + ",cab", False),
-        ("a," + "a" * 300 + "b", True),
-        ("a" * 300 + "*b", True),
-        ("a" * 200 + "b*ab", True),
-        ("*" + "a" * 300 + "b", True),
-    ],
-    ids=["F,c", "F,cab", "a,a^300b", "a^300*b", "a^200b*ab", "*a^300b"],
-)
-def test_fine_reads_letters_that_first_occur_late(capsys, spec, fine):
-    # Each source shows a letter or factor only after 200 letters or more.
-    # The answer is checked against every order's least length-4 window of
-    # a 10^5-letter prefix, picked from the window set by brute force.
-    prefix = _parse_source(spec).prefix(10**5)
-    windows = factors(prefix, 4)
-    tails = {min(windows, key=order.key)[1:] for order in all_orders(alph(prefix))}
-    assert (len(tails) == 1) == fine
-    expected = (0, "fine: yes\n", "") if fine else (1, "fine: no\n", "")
-    assert run(capsys, "test", "fine", spec, "--k", "4") == expected
+@pytest.mark.parametrize("name", ["F,c", "F,cab", "a,a^300b", "a^300*b", "a^200b*ab", "*a^300b"])
+def test_fine_reads_letters_that_first_occur_late(name):
+    # The two 8-letter cases run in test_ci_checks.py, without brute force:
+    # its 40 320 orders at k = 20 take seconds each.
+    ci_checks.fine_late_letters(EPIWORD, [name], brute_force=True)
 
 
 def test_fine_needs_an_infinite_directive(capsys):
@@ -512,24 +490,6 @@ def test_stdin_words_are_judged_as_they_are_read(capsys, monkeypatch):
     assert (code, out, err) == (2, "balanced\nbalanced\n", "error: out of memory\n")
 
 
-def _checkout_env(**env):
-    # A subprocess does not see pytest's pythonpath setting, so it gets the
-    # checkout's src on PYTHONPATH and runs from an uninstalled tree.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return dict(os.environ, PYTHONPATH=path, **env)
-
-
-def _run_python(*args, **env):
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=_checkout_env(**env)
-    )
-
-
-def _run_checkout(*argv, **env):
-    return _run_python("-m", "epiword", *argv, **env)
-
-
 def test_fractions_loaded_only_for_a_mechanical_spec():
     # fractions, with the decimal module it loads, took about 1 ms of every
     # start-up (2-vCPU VM, Python 3.11.7); only a mechanical spec needs it.
@@ -539,45 +499,21 @@ def test_fractions_loaded_only_for_a_mechanical_spec():
         "epiword.cli.main(['generate', '--mechanical', '2/5', '--length', '5'])\n"
         "print('fractions' in sys.modules)\n"
     )
-    proc = _run_python("-c", script)
+    proc = ci_checks.run(PYTHON, "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["False", "aabab", "True"]
 
 
-@pytest.mark.parametrize(
-    "argv, first",
-    [
-        (["balanced", "-", "--json"], lambda out: out.readline()),
-        (["generate", "--directive", "*ab", "--length", "2000000"], lambda out: out.read(10)),
-    ],
-    ids=["balanced-head-1", "generate-head-c-10"],
-)
-def test_closed_stdout_exits_2_without_a_traceback(tmp_path, argv, first):
-    # Both outputs are far larger than a pipe holds, so the child is still
-    # writing when the reader closes its end.
-    words = tmp_path / "words.txt"
-    words.write_text("abaababaabaab\n" * 20_000)
-    with words.open() as stdin:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "epiword", *argv],
-            stdin=stdin,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=_checkout_env(),
-        )
-        assert first(proc.stdout)
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == 2, err
-    assert err == "error: output closed\n"
+@pytest.mark.parametrize("name", ci_checks.CLOSED_STDOUT)
+def test_closed_stdout_exits_2_without_a_traceback(name):
+    ci_checks.closed_stdout(EPIWORD, 20_000, [name])
 
 
 def test_output_independent_of_hash_seed():
     outs = set()
     for seed in ("0", "1", "99"):
-        proc = _run_checkout(
-            "test", "episturmian", "baabacababac", "--json", PYTHONHASHSEED=seed
+        proc = ci_checks.run(
+            EPIWORD, "test", "episturmian", "baabacababac", "--json", env={"PYTHONHASHSEED": seed}
         )
         assert proc.returncode == 0
         outs.add(proc.stdout)
@@ -596,7 +532,7 @@ def test_deeply_nested_episkew_json_is_input_error(depth):
         ["test", "fine", text, "--k", "3"],
         ["complexity", text, "--max-n", "3"],
     ):
-        proc = _run_checkout(*argv)
+        proc = ci_checks.run(EPIWORD, *argv)
         assert proc.returncode == 2, argv[0]
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
@@ -609,7 +545,7 @@ def test_deeply_nested_wrong_typed_episkew_value_has_a_short_message():
     deep = "[" * 900 + "]" * 900
     valid = '"excluded_letter": "c", "inner_directive": "*ab", "p": 0, "suffix_index": 1'
     for text in (deep, '{"mu": ' + deep + ", " + valid + "}"):
-        proc = _run_checkout("generate", "--episkew", text, "--length", "5")
+        proc = ci_checks.run(EPIWORD, "generate", "--episkew", text, "--length", "5")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.endswith("got list\n")
@@ -622,7 +558,7 @@ def test_long_skew_prefix_stays_fast():
     # A fresh interpreter times the call: in one that has run other tests,
     # the cost of growing a string in place depends on the heap.
     start = time.perf_counter()
-    proc = _run_checkout("generate", "--skew", "b,a", "--length", "400000")
+    proc = ci_checks.run(EPIWORD, "generate", "--skew", "b,a", "--length", "400000")
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0
     assert proc.stdout == "b" + "a" * 399_999 + "\n"

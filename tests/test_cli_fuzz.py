@@ -12,19 +12,15 @@ draws directives over 5 to 8 letters.
 
 import io
 import json
-import os
-import random
-import resource
-import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ci_checks import EPIWORD, bounded_batch, run
 from epiword.cli import main
 
 # Words: valid letters, upper-case and foreign characters, the empty word,
@@ -218,32 +214,11 @@ def test_cli_ends_with_a_documented_exit_code(call):
         assert err.getvalue().startswith("inconclusive: "), (argv, err.getvalue())
 
 
-_MEMORY_LIMIT = 256 * 2**20
+_MEMORY_MB = 256
 _CPU_SECONDS = 20
 _HUGE_EPISKEW = json.dumps(
     {"excluded_letter": "c", "inner_directive": "*ab", "p": 10**12, "suffix_index": 1}
 )
-
-
-def _run_limited(argv, memory_limit, stdin=None):
-    # The child gets its own address-space limit, so the input runs into it
-    # within a fraction of a second instead of into the machine's memory.
-    # stdin, an open file, is the child's standard input.
-    def limit_child():
-        resource.setrlimit(resource.RLIMIT_AS, (memory_limit, memory_limit))
-        resource.setrlimit(resource.RLIMIT_CPU, (_CPU_SECONDS, _CPU_SECONDS))
-
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-m", "epiword", *argv],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        stdin=stdin,
-        preexec_fn=limit_child,
-        timeout=4 * _CPU_SECONDS,
-    )
 
 
 @pytest.mark.parametrize(
@@ -257,7 +232,7 @@ def _run_limited(argv, memory_limit, stdin=None):
     ids=["generate-directive", "generate-episkew", "test-fine-episkew", "complexity"],
 )
 def test_inputs_too_large_for_memory_exit_2(argv):
-    proc = _run_limited(argv, _MEMORY_LIMIT)
+    proc = run(EPIWORD, *argv, memory_mb=_MEMORY_MB, cpu_seconds=_CPU_SECONDS)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == "error: out of memory\n"
@@ -266,21 +241,13 @@ def test_inputs_too_large_for_memory_exit_2(argv):
 def test_stability_check_holds_one_window_at_a_time():
     # At k = 4000 a set of every length-k window of the doubled prefixes
     # takes tens of MB; one window scan per order fits well under 64 MB.
-    proc = _run_limited(["test", "fine", "*abc", "--k", "4000"], 64 * 2**20)
+    argv = ["test", "fine", "*abc", "--k", "4000"]
+    proc = run(EPIWORD, *argv, memory_mb=64, cpu_seconds=_CPU_SECONDS)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "fine: yes\n", "")
 
 
-def test_stdin_batch_holds_one_line_at_a_time(tmp_path):
+def test_stdin_batch_holds_one_line_at_a_time():
     # 3*10^5 random 20-letter words, 6.3 MB of input. A list of the batch
     # needed between 40 and 48 MB of address space; read a line at a time,
     # the batch passes at 18 MB (Python 3.11.7).
-    rng = random.Random(0)
-    binary = str.maketrans("01", "ab")
-    words = tmp_path / "words.txt"
-    with words.open("w") as out:
-        for _ in range(300_000):
-            out.write(f"{rng.getrandbits(20):020b}\n".translate(binary))
-    with words.open() as stdin:
-        proc = _run_limited(["balanced", "-"], 32 * 2**20, stdin)
-    assert (proc.returncode, proc.stderr) == (1, "")
-    assert len(proc.stdout.splitlines()) == 300_000
+    bounded_batch(EPIWORD, 300_000, 32, _CPU_SECONDS)

@@ -18,7 +18,9 @@ from epiword import (
     sweep,
 )
 from epiword.oracles import _balanced_levels, check_certificate
-from references import balanced_by_windows
+import ci_checks
+from ci_checks import EPIWORD
+from references import discovery_table_every_size
 
 
 def _discovery_table_full_scan(letters, max_len):
@@ -66,6 +68,13 @@ def test_discovery_table_matches_full_scan(letters, max_len):
     assert discovery_table(letters, max_len) == _discovery_table_full_scan(letters, max_len)
 
 
+@pytest.mark.parametrize(
+    "letters, max_len", [("abc", 6), ("abc", 8), ("ab", 10), ("ab", 14), ("abcd", 7), ("abcde", 5)]
+)
+def test_discovery_table_skips_only_windows_found_earlier(letters, max_len):
+    assert discovery_table(letters, max_len) == discovery_table_every_size(letters, max_len)
+
+
 @pytest.mark.parametrize("letters, max_len", [("abc", 8), ("abcd", 7)])
 def test_one_table_reference_matches_per_alphabet_tables(letters, max_len):
     # The sweep's reference walks directives over all its letters once; the
@@ -93,15 +102,8 @@ def test_discovery_table_agrees_with_oracle():
 
 
 def test_certificate_checker_accepts_every_sweep_certificate():
-    accepted = 0
-    for letters, max_len in (("ab", 10), ("abc", 6)):
-        for n in range(1, max_len + 1):
-            for w in map("".join, product(letters, repeat=n)):
-                verdict = is_finite_episturmian(w)
-                if verdict.accepted:
-                    accepted += 1
-                    assert check_certificate(w, verdict.certificate), w
-    assert accepted == 878
+    accepted = [ci_checks.certificates(EPIWORD, *size) for size in (("ab", 10), ("abc", 6))]
+    assert accepted == [458, 420]
 
 
 def test_certificate_checker_on_factors_of_random_standard_words():
@@ -145,15 +147,13 @@ def test_certificate_checker_rejects_altered_certificates():
 def test_balanced_levels():
     # The binary sweeps' reference: level n holds the balanced words of
     # length n.
-    levels = _balanced_levels(16)
+    levels = _balanced_levels(4)
     assert levels[1] == {"a", "b"}
     assert levels[2] == {"aa", "ab", "ba", "bb"}
     four = levels[4]
     assert "aabb" not in four and "bbaa" not in four
     assert four == {w for w in ("".join(t) for t in product("ab", repeat=4)) if is_balanced(w)}
-    for n in range(17):
-        words = ("".join(t) for t in product("ab", repeat=n))
-        assert levels[n] == {w for w in words if balanced_by_windows(w)}, n
+    ci_checks.balance_levels(16)
 
 
 def test_sweep_small():
