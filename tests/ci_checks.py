@@ -83,16 +83,15 @@ def verify_budgets(command, binary, ternary):
         assert (proc.returncode, report["passed"], report["total_words"]) == (0, True, words), argv
 
 
-def one_pass_reduction(max_len, families=False):
+def one_pass_reduction(max_len):
     """_reduce against the nested reference, which decides each full reading
-    by reducing it again, on every abcd word up to max_len letters; with
-    families, also on (a^k b)^3 a^k and a^(k+2) b a^k b and their mirrors.
+    by reducing it again, on every abcd word up to max_len letters and on the
+    336 run-family words (a^k b)^3 a^k and a^(k+2) b a^k b and their mirrors.
     Returns the number of words."""
     words = list(_words("abcd", max_len))
-    if families:
-        for a, b in ("ab", "ba"):
-            words += [(a * k + b) * 3 + a * k for k in [*range(1, 41), *range(50, 121, 10)]]
-            words += [a * (k + 2) + b + a * k + b for k in range(1, 121)]
+    for a, b in ("ab", "ba"):
+        words += [(a * k + b) * 3 + a * k for k in [*range(1, 41), *range(50, 121, 10)]]
+        words += [a * (k + 2) + b + a * k + b for k in range(1, 121)]
     for w in words:
         got, want = _reduce(_runs(w)), references.reduce_nested(_runs(w), True)
         assert (got[0], "".join(got[1]), got[2]) == (want[0], "".join(want[1]), want[2]), w
@@ -129,8 +128,11 @@ def certificates(command, letters, max_len):
         expected = (w, c and c["witness_u"], c is not None)
         assert (line["word"], line["witness"], verdict["accepted"]) == expected, w
         if c:
+            # The certificate read back from JSON is the decider's own.
             directive = DirectiveSpec.from_text(c["embedding_directive"])
-            assert check_certificate(w, Certificate(**dict(c, embedding_directive=directive))), w
+            certificate = Certificate(**dict(c, embedding_directive=directive))
+            assert certificate == is_finite_episturmian(w).certificate, w
+            assert check_certificate(w, certificate), w
             accepted += 1
     assert 0 < accepted < len(words), accepted
     return accepted
@@ -158,42 +160,41 @@ CLOSED_STDOUT = {
 }
 
 
-def closed_stdout(command, words, names=tuple(CLOSED_STDOUT)):
-    """Each named command, `balanced` on `words` random words, exits 2 with
-    the one line `error: output closed` and no traceback on stderr when its
-    head exits. Both outputs are far larger than a pipe holds, so the child
-    is still writing then."""
+def closed_stdout(command, words):
+    """Each CLOSED_STDOUT command, `balanced` on `words` random words, exits
+    2 with the one line `error: output closed` and no traceback on stderr
+    when its head exits, within 60 s. Both outputs are far larger than a
+    pipe holds, so the child is still writing then."""
     with _random_batch(words) as batch:
-        for name in names:
-            argv, head = CLOSED_STDOUT[name]
+        for name, (argv, head) in CLOSED_STDOUT.items():
             pipeline = f"{command} {shlex.join(argv)} | {head}; exit ${{PIPESTATUS[0]}}"
-            proc = run("bash", "-c", pipeline, stdin=batch)
+            proc = run("bash", "-c", pipeline, stdin=batch, cpu_seconds=15)
             batch.seek(0)
             expected = (2, "error: output closed\n", True)
             assert (proc.returncode, proc.stderr, bool(proc.stdout)) == expected, name
 
 
-# F is the first 300 letters of the *ab directed word.
+# F is the first 300 letters of the *ab directed word. A case is its source,
+# k, whether it is fine and whether to check that by brute force.
 _F = DirectiveSpec("", "ab").prefix(300)
 FINE_CASES = {
-    "F,c": (_F + ",c", 4, False),
-    "F,cab": (_F + ",cab", 4, False),
-    "a,a^300b": ("a," + "a" * 300 + "b", 4, True),
-    "a^300*b": ("a" * 300 + "*b", 4, True),
-    "a^200b*ab": ("a" * 200 + "b*ab", 4, True),
-    "*a^300b": ("*" + "a" * 300 + "b", 4, True),
-    "*abcdefgh": ("*abcdefgh", 20, True),
-    "a*bcdefgh": ("a*bcdefgh", 20, False),
+    "F,c": (_F + ",c", 4, False, True),
+    "F,cab": (_F + ",cab", 4, False, True),
+    "a,a^300b": ("a," + "a" * 300 + "b", 4, True, True),
+    "a^300*b": ("a" * 300 + "*b", 4, True, True),
+    "a^200b*ab": ("a" * 200 + "b*ab", 4, True, True),
+    "*a^300b": ("*" + "a" * 300 + "b", 4, True, True),
+    "*abcdefgh": ("*abcdefgh", 20, True, False),
+    "a*bcdefgh": ("a*bcdefgh", 20, False, False),
 }
 
 
-def fine_late_letters(command, names=tuple(FINE_CASES), brute_force=False):
-    """`test fine` on the named FINE_CASES: all but the last two show a letter
-    or factor only after 200 letters or more; those two have 40 320 orders at
-    k = 20, of which the check reads 16. brute_force also checks each answer
-    on every order's least length-k window of a 10^5-letter prefix."""
-    for name in names:
-        source, k, fine = FINE_CASES[name]
+def fine_late_letters(command):
+    """`test fine` on the FINE_CASES: all but the last two show a letter or
+    factor only after 200 letters or more; those two have 40 320 orders at
+    k = 20, of which the check reads 16 and the brute force, too slow there,
+    would read each one's least length-k window of a 10^5-letter prefix."""
+    for name, (source, k, fine, brute_force) in FINE_CASES.items():
         if brute_force:
             prefix = _parse_source(source).prefix(10**5)
             windows = factors(prefix, k)

@@ -17,8 +17,6 @@ _ROOT = Path(__file__).resolve().parents[1]
 _SMALL = {
     "verify_budgets": (EPIWORD, 8, 5),
     "balanced_batch": (EPIWORD, 8),
-    # test_cli.py runs the other six cases, with brute force.
-    "fine_late_letters": (EPIWORD, ["*abcdefgh", "a*bcdefgh"]),
     "episturmian_net": ("abc", 6, 420),
     "balance_net": (10, 458),
 }

@@ -632,7 +632,7 @@ def test_one_pass_matches_the_nested_reduction(monkeypatch):
 
     monkeypatch.setattr(references, "reduce_nested", counted)
     # The 21 844 abcd words up to 7 letters, then 336 of the run families.
-    assert ci_checks.one_pass_reduction(7, families=True) == 21_844 + 336
+    assert ci_checks.one_pass_reduction(7) == 21_844 + 336
     # Full readings are both taken and refused.
     assert True in nested and False in nested
 

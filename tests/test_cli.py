@@ -210,11 +210,11 @@ def test_test_fine(capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("name", ["F,c", "F,cab", "a,a^300b", "a^300*b", "a^200b*ab", "*a^300b"])
-def test_fine_reads_letters_that_first_occur_late(name):
-    # The two 8-letter cases run in test_ci_checks.py, without brute force:
-    # its 40 320 orders at k = 20 take seconds each.
-    ci_checks.fine_late_letters(EPIWORD, [name], brute_force=True)
+@pytest.mark.parametrize("name", ci_checks.FINE_CASES)
+def test_fine_reads_letters_that_first_occur_late(monkeypatch, name):
+    # One case per test, so that a failure names its case.
+    monkeypatch.setattr(ci_checks, "FINE_CASES", {name: ci_checks.FINE_CASES[name]})
+    ci_checks.fine_late_letters(EPIWORD)
 
 
 def test_fine_needs_an_infinite_directive(capsys):
@@ -505,8 +505,9 @@ def test_fractions_loaded_only_for_a_mechanical_spec():
 
 
 @pytest.mark.parametrize("name", ci_checks.CLOSED_STDOUT)
-def test_closed_stdout_exits_2_without_a_traceback(name):
-    ci_checks.closed_stdout(EPIWORD, 20_000, [name])
+def test_closed_stdout_exits_2_without_a_traceback(monkeypatch, name):
+    monkeypatch.setattr(ci_checks, "CLOSED_STDOUT", {name: ci_checks.CLOSED_STDOUT[name]})
+    ci_checks.closed_stdout(EPIWORD, 20_000)
 
 
 def test_output_independent_of_hash_seed():
